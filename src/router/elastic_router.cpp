@@ -1,5 +1,7 @@
 #include "router/elastic_router.hpp"
 
+#include <bit>
+
 #include "sim/logging.hpp"
 
 namespace ccsim::router {
@@ -9,6 +11,21 @@ ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
 {
     if (cfg.numPorts < 1 || cfg.numVcs < 1 || cfg.flitBytes == 0)
         sim::fatal("ElasticRouter: invalid configuration");
+    if (cfg.numPorts > kMaxSlots / cfg.numVcs)
+        sim::fatalf(cfg.name, ": ", cfg.numPorts, " ports x ", cfg.numVcs,
+                    " VCs exceed ", kMaxSlots, " (port, VC) slots");
+    if (!(cfg.clockMhz > 0.0 && cfg.clockMhz <= 1e6))
+        sim::fatalf(cfg.name, ": clockMhz ", cfg.clockMhz,
+                    " outside (0, 1e6]");
+    if (cfg.pipelineCycles < 0)
+        sim::fatalf(cfg.name, ": pipelineCycles must be >= 0");
+    if (cfg.policy == CreditPolicy::kStatic && cfg.staticPerVcFlits < 1)
+        sim::fatalf(cfg.name, ": staticPerVcFlits must be >= 1");
+    if (cfg.policy == CreditPolicy::kElastic &&
+        (cfg.perVcReservedFlits < 0 || cfg.sharedPoolFlits < 0 ||
+         cfg.perVcReservedFlits + cfg.sharedPoolFlits == 0))
+        sim::fatalf(cfg.name, ": elastic credits must be >= 0 and not all "
+                              "zero (perVcReservedFlits + sharedPoolFlits)");
     cyclePs = sim::cyclePeriod(cfg.clockMhz);
     routeFn = [](int dst) { return dst; };
     inputs.resize(cfg.numPorts);
@@ -17,12 +34,20 @@ ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
         in.vcs.resize(cfg.numVcs);
     for (auto &out : outputs)
         out.vcOwner.assign(cfg.numVcs, -1);
+    numSlots = cfg.numPorts * cfg.numVcs;
+    for (int in = 0; in < cfg.numPorts; ++in)
+        slotInput.insert(slotInput.end(), cfg.numVcs, in);
+    inputSlotBits = cfg.numVcs == kMaxSlots
+                        ? ~SlotMask{0}
+                        : (SlotMask{1} << cfg.numVcs) - 1;
 }
 
 void
 ElasticRouter::setOutputSink(int port, FlitSink *sink)
 {
-    outputs.at(port).sink = sink;
+    OutputPort &out = outputs.at(port);
+    out.sink = sink;
+    out.tailsOnly = sink != nullptr && sink->consumesTailsOnly();
 }
 
 void
@@ -46,18 +71,29 @@ ElasticRouter::canAccept(int port, int vc) const
 }
 
 void
-ElasticRouter::injectFlit(int port, const Flit &flit)
+ElasticRouter::injectFlit(int port, Flit flit)
 {
     if (!canAccept(port, flit.vc))
         sim::panicf(cfg.name, ": injectFlit without credit (port ", port,
                     " vc ", flit.vc, ")");
     InputPort &in = inputs[port];
-    InputVc &ivc = in.vcs[flit.vc];
+    const int vc = flit.vc;
+    InputVc &ivc = in.vcs[vc];
     if (cfg.policy == CreditPolicy::kElastic &&
         static_cast<int>(ivc.fifo.size()) >= cfg.perVcReservedFlits) {
         ++in.sharedUsed;
     }
-    ivc.fifo.push_back(flit);
+    const bool was_empty = ivc.fifo.empty();
+    ivc.fifo.push_back(std::move(flit));
+    if (was_empty) {
+        const int slot = port * cfg.numVcs + vc;
+        occupied |= SlotMask{1} << slot;
+        // A credit-return callback may refill a FIFO mid-tick; outputs
+        // not yet arbitrated this cycle must see the new head, as a full
+        // rescan would.
+        if (inTick)
+            requestOutput(slot);
+    }
     ++totalBuffered;
     statPeakBuffered = std::max(statPeakBuffered, totalBuffered);
     if (port < static_cast<int>(obsFlitsIn.size()) && obsFlitsIn[port])
@@ -120,18 +156,6 @@ ElasticRouter::routeOf(const Flit &flit) const
     return out;
 }
 
-bool
-ElasticRouter::anyWork() const
-{
-    for (const auto &in : inputs) {
-        for (const auto &ivc : in.vcs) {
-            if (!ivc.fifo.empty())
-                return true;
-        }
-    }
-    return false;
-}
-
 void
 ElasticRouter::scheduleTick()
 {
@@ -164,41 +188,38 @@ ElasticRouter::releaseCredit(int port, int vc)
 }
 
 void
-ElasticRouter::tick()
+ElasticRouter::requestOutput(int slot)
 {
-    const sim::TimePs now = queue.now();
-    // Per-cycle separable allocation: each output grants at most one
-    // input; each input sends at most one flit.
-    std::vector<bool> inputUsed(cfg.numPorts, false);
+    const int in_idx = slotInput[slot];
+    const InputVc &ivc = inputs[in_idx].vcs[slot - in_idx * cfg.numVcs];
+    const Flit &head = ivc.fifo.front();
+    // Route the head flit; body/tail follow the locked output.
+    const int target = head.isHead() ? routeOf(head) : ivc.lockedOutput;
+    if (target < 0)
+        return;  // headless body flit: it can never be granted
+    outputs[target].requests |= SlotMask{1} << slot;
+    requestedOutputs |= std::uint64_t{1} << target;
+}
 
-    for (int out_idx = 0; out_idx < cfg.numPorts; ++out_idx) {
-        OutputPort &out = outputs[out_idx];
-        if (out.sink == nullptr || out.nextFree > now)
-            continue;
-        // Round-robin over (input, vc) pairs starting at the pointer.
-        const int slots = cfg.numPorts * cfg.numVcs;
-        for (int k = 0; k < slots; ++k) {
-            const int slot = (out.rrPointer + k) % slots;
-            const int in_idx = slot / cfg.numVcs;
-            const int vc = slot % cfg.numVcs;
-            if (inputUsed[in_idx])
-                continue;
+int
+ElasticRouter::arbitrate(int out_idx, SlotMask used, sim::TimePs now)
+{
+    OutputPort &out = outputs[out_idx];
+    if (out.sink == nullptr || out.nextFree > now)
+        return -1;
+    // Round-robin over (input, vc) slots starting at the pointer: the
+    // requesters at or above it first, then those below it.
+    const SlotMask eligible = out.requests & ~used;
+    const SlotMask upper = eligible & (~SlotMask{0} << out.rrPointer);
+    for (SlotMask m : {upper, eligible & ~upper}) {
+        for (; m != 0; m &= m - 1) {
+            const int slot = std::countr_zero(m);
+            const int in_idx = slotInput[slot];
+            const int vc = slot - in_idx * cfg.numVcs;
             InputVc &ivc = inputs[in_idx].vcs[vc];
-            if (ivc.fifo.empty())
-                continue;
-            Flit &head = ivc.fifo.front();
-            // Route the head flit; body/tail follow the locked output.
-            int target;
-            if (head.isHead()) {
-                target = routeOf(head);
-            } else {
-                target = ivc.lockedOutput;
-            }
-            if (target != out_idx)
-                continue;
             // Wormhole VC ownership on the output.
             int &owner = out.vcOwner[vc];
-            if (head.isHead()) {
+            if (ivc.fifo.front().isHead()) {
                 if (owner != -1 && owner != in_idx)
                     continue;  // VC busy with another message
                 owner = in_idx;
@@ -211,9 +232,10 @@ ElasticRouter::tick()
             // Grant: move the flit.
             Flit flit = std::move(ivc.fifo.front());
             ivc.fifo.pop_front();
+            if (ivc.fifo.empty())
+                occupied &= ~(SlotMask{1} << slot);
             --totalBuffered;
-            inputUsed[in_idx] = true;
-            out.rrPointer = (slot + 1) % slots;
+            out.rrPointer = slot + 1 == numSlots ? 0 : slot + 1;
             out.nextFree = now + out.cyclesPerFlit * cyclePs;
             ++statFlitsRouted;
             if (out_idx < static_cast<int>(obsFlitsOut.size()) &&
@@ -233,14 +255,46 @@ ElasticRouter::tick()
                 }
             }
             releaseCredit(in_idx, vc);
-            FlitSink *sink = out.sink;
-            queue.scheduleAfter(cfg.pipelineCycles * cyclePs,
-                                [sink, flit] { sink->acceptFlit(flit); });
-            break;  // this output granted for this cycle
+            if (flit.isTail() || !out.tailsOnly) {
+                queue.scheduleAfter(cfg.pipelineCycles * cyclePs,
+                                    [sink = out.sink, f = std::move(flit)] {
+                                        sink->acceptFlit(f);
+                                    });
+            }
+            return slot;
         }
     }
+    return -1;
+}
 
-    if (anyWork()) {
+void
+ElasticRouter::tick()
+{
+    const sim::TimePs now = queue.now();
+    // Per-cycle separable allocation: each output grants at most one
+    // input; each input sends at most one flit. Only outputs that some
+    // head flit requests are visited, in ascending order; requests added
+    // by mid-tick injections are picked up by the outputs after the
+    // current one.
+    for (SlotMask m = occupied; m != 0; m &= m - 1)
+        requestOutput(std::countr_zero(m));
+    inTick = true;
+    SlotMask used = 0;  // slots of inputs that already sent this cycle
+    for (int out_idx = 0; out_idx < cfg.numPorts; ++out_idx) {
+        const std::uint64_t ahead = requestedOutputs >> out_idx;
+        if (ahead == 0)
+            break;
+        out_idx += std::countr_zero(ahead);
+        const int slot = arbitrate(out_idx, used, now);
+        if (slot >= 0)
+            used |= inputSlotBits << (slotInput[slot] * cfg.numVcs);
+    }
+    inTick = false;
+    for (std::uint64_t m = requestedOutputs; m != 0; m &= m - 1)
+        outputs[std::countr_zero(m)].requests = 0;
+    requestedOutputs = 0;
+
+    if (occupied != 0) {
         ++statBusyCycles;
         scheduleTick();
     }
@@ -321,7 +375,7 @@ ErEndpoint::pump(int vc)
 {
     auto &q = pending[vc];
     while (!q.empty() && er.canAccept(port, vc)) {
-        er.injectFlit(port, q.front());
+        er.injectFlit(port, std::move(q.front()));
         q.pop_front();
     }
     if (!q.empty())

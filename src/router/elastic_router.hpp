@@ -16,6 +16,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -66,6 +67,16 @@ struct ErConfig {
 class ElasticRouter
 {
   public:
+    /** Most (input port, VC) pairs one router supports: the arbiter
+     * keeps one bit per pair in a 64-bit mask. */
+    static constexpr int kMaxSlots = 64;
+
+    /**
+     * Fatal if @p cfg cannot work: no ports or VCs, more than kMaxSlots
+     * (port, VC) pairs, a zero flit size, a clock outside (0, 1e6] MHz
+     * (faster clocks truncate to a zero-ps cycle), a negative pipeline,
+     * or a credit budget that can never accept a flit.
+     */
     ElasticRouter(sim::EventQueue &eq, ErConfig cfg);
 
     /**
@@ -78,7 +89,10 @@ class ElasticRouter
         routeFn = std::move(fn);
     }
 
-    /** Attach the consumer of output port @p port. */
+    /**
+     * Attach the consumer of output port @p port. A sink whose
+     * consumesTailsOnly() is true is handed tail flits only.
+     */
     void setOutputSink(int port, FlitSink *sink);
 
     /**
@@ -97,7 +111,7 @@ class ElasticRouter
      * @pre canAccept(port, flit.vc). Violations panic: the endpoint did
      *      not respect credit flow control.
      */
-    void injectFlit(int port, const Flit &flit);
+    void injectFlit(int port, Flit flit);
 
     /**
      * Register a callback fired whenever a credit frees at @p port
@@ -140,13 +154,19 @@ class ElasticRouter
         int sharedUsed = 0;  ///< flits drawn from the shared pool
         std::function<void(int)> creditReturn;
     };
+    /** One bit per (input, VC) slot; slot = input * numVcs + vc. */
+    using SlotMask = std::uint64_t;
+
     struct OutputPort {
         FlitSink *sink = nullptr;
+        bool tailsOnly = false;  ///< sink->consumesTailsOnly(), cached
         int cyclesPerFlit = 1;
         sim::TimePs nextFree = 0;  ///< earliest next flit departure time
         /** Which input owns each VC of this output (wormhole), or -1. */
         std::vector<int> vcOwner;
         int rrPointer = 0;  ///< round-robin arbitration state
+        /** Slots whose head flit requests this output (in a tick). */
+        SlotMask requests = 0;
     };
 
     sim::EventQueue &queue;
@@ -156,6 +176,16 @@ class ElasticRouter
     std::vector<InputPort> inputs;
     std::vector<OutputPort> outputs;
     bool tickScheduled = false;
+    bool inTick = false;
+    int numSlots = 0;
+    /** Slot -> input port (avoids a division per slot). */
+    std::vector<int> slotInput;
+    /** Bits of input 0's slots; input i's are this << (i * numVcs). */
+    SlotMask inputSlotBits = 0;
+    /** Slots with a non-empty FIFO. */
+    SlotMask occupied = 0;
+    /** Outputs with a bit set in their `requests` (in a tick). */
+    std::uint64_t requestedOutputs = 0;
 
     /** Registry-owned per-port counters (null when not attached). */
     std::vector<sim::Counter *> obsFlitsIn;
@@ -172,7 +202,11 @@ class ElasticRouter
 
     void scheduleTick();
     void tick();
-    bool anyWork() const;
+    /** Resolve the head flit of @p slot to the output it requests. */
+    void requestOutput(int slot);
+    /** Grant output @p out_idx to the first eligible requester in
+     * round-robin order; returns the granted slot or -1. */
+    int arbitrate(int out_idx, SlotMask used, sim::TimePs now);
     void releaseCredit(int port, int vc);
     int routeOf(const Flit &flit) const;
 };
@@ -213,6 +247,8 @@ class ErEndpoint : public FlitSink
     void sendMessage(const ErMessagePtr &msg);
 
     void acceptFlit(const Flit &flit) override;
+    /** Only tails matter: they deliver the reassembled message. */
+    bool consumesTailsOnly() const override { return true; }
 
     int endpointId() const { return id; }
     int portIndex() const { return port; }

@@ -52,7 +52,7 @@ class ErLink : public FlitSink
     {
         while (!pending.empty() && er.canAccept(inPort, pending.front().vc))
         {
-            er.injectFlit(inPort, pending.front());
+            er.injectFlit(inPort, std::move(pending.front()));
             pending.pop_front();
         }
         if (!pending.empty() && !retryArmed) {

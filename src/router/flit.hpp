@@ -73,6 +73,14 @@ class FlitSink
   public:
     virtual ~FlitSink() = default;
     virtual void acceptFlit(const Flit &flit) = 0;
+
+    /**
+     * True if acceptFlit() acts on tail flits only (a message sink). The
+     * router then hands such a sink its tail flits alone: head and body
+     * hand-offs would be events with no effect. Flit-level sinks (links,
+     * recorders) keep the default and receive every flit.
+     */
+    virtual bool consumesTailsOnly() const { return false; }
 };
 
 }  // namespace ccsim::router

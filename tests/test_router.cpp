@@ -298,4 +298,167 @@ TEST(ElasticRouter, LatencyScalesWithPipelineAndClock)
     EXPECT_LE(arrival, 4 * cycle);
 }
 
+TEST(ElasticRouter, MessageSinksCostNoPerFlitEvents)
+{
+    // One 10-flit message through an idle router: a message sink is
+    // handed the tail only, a flit-level sink every flit.
+    constexpr std::uint32_t kFlits = 10;
+    auto run = [&](bool flit_level) {
+        ErConfig cfg;
+        cfg.numPorts = 2;
+        EventQueue eq;
+        ElasticRouter er(eq, cfg);
+        ErEndpoint src(eq, er, 0, 0), dst(eq, er, 1, 1);
+        er.setOutputSink(0, &src);
+
+        struct Recorder : router::FlitSink {
+            ErEndpoint *next = nullptr;
+            std::uint32_t handoffs = 0;
+            void acceptFlit(const router::Flit &f) override
+            {
+                ++handoffs;
+                next->acceptFlit(f);
+            }
+        } recorder;
+        recorder.next = &dst;
+        er.setOutputSink(1, flit_level ? static_cast<router::FlitSink *>(
+                                             &recorder)
+                                       : &dst);
+        src.sendMessage(1, 0, kFlits * cfg.flitBytes);
+        eq.runAll();
+        EXPECT_EQ(dst.messagesReceived(), 1u);
+        EXPECT_EQ(er.flitsRouted(), kFlits);
+        return std::pair{eq.eventsExecuted(), recorder.handoffs};
+    };
+    EXPECT_EQ(run(false).first, kFlits + 1);  // N ticks + one hand-off
+    const auto [events, handoffs] = run(true);
+    EXPECT_EQ(handoffs, kFlits);
+    EXPECT_EQ(events, 2 * kFlits);  // N ticks + N hand-offs
+}
+
+TEST(ElasticRouter, MidTickInjectionIsSeenByLaterOutputsOnly)
+{
+    // Outputs arbitrate in ascending order within a cycle. A flit that a
+    // credit-return callback injects mid-tick can still win an output
+    // that has not arbitrated yet, but not one that already has.
+    ErConfig cfg;
+    cfg.numPorts = 3;
+    cfg.numVcs = 1;
+    cfg.pipelineCycles = 0;
+    EventQueue eq;
+    ElasticRouter er(eq, cfg);
+
+    struct Recorder : router::FlitSink {
+        EventQueue *eq = nullptr;
+        std::map<int, sim::TimePs> handoffAt;  // by source
+        void acceptFlit(const router::Flit &f) override
+        {
+            handoffAt[f.msg->srcEndpoint] = eq->now();
+        }
+    } rec;
+    rec.eq = &eq;
+    for (int p = 0; p < 3; ++p)
+        er.setOutputSink(p, &rec);
+
+    auto flit_to = [](int src, int dst) {
+        auto msg = std::make_shared<router::ErMessage>();
+        msg->srcEndpoint = src;
+        msg->dstEndpoint = dst;
+        router::Flit f;
+        f.dstEndpoint = dst;
+        f.msg = msg;
+        return f;
+    };
+    bool injected = false;
+    er.setCreditReturnFn(0, [&](int) {
+        if (injected)
+            return;
+        injected = true;
+        er.injectFlit(1, flit_to(1, 2));  // output 2 is still to come
+        er.injectFlit(2, flit_to(2, 0));  // output 0 already granted
+    });
+    er.injectFlit(0, flit_to(0, 0));
+    eq.runAll();
+
+    const sim::TimePs cycle = sim::cyclePeriod(cfg.clockMhz);
+    ASSERT_EQ(rec.handoffAt.size(), 3u);
+    EXPECT_EQ(rec.handoffAt[0], cycle);
+    EXPECT_EQ(rec.handoffAt[1], cycle);
+    EXPECT_EQ(rec.handoffAt[2], 2 * cycle);
+}
+
+TEST(ElasticRouterDeathTest, InvalidConfigsAreFatal)
+{
+    auto build = [](auto edit) {
+        return [edit] {
+            ErConfig cfg;
+            edit(cfg);
+            EventQueue eq;
+            ElasticRouter er(eq, cfg);
+        };
+    };
+    EXPECT_DEATH(build([](ErConfig &c) { c.clockMhz = 0.0; })(),
+                 "clockMhz");
+    EXPECT_DEATH(build([](ErConfig &c) { c.clockMhz = -175.0; })(),
+                 "clockMhz");
+    // 2e6 MHz truncates to a zero-ps cycle.
+    EXPECT_DEATH(build([](ErConfig &c) { c.clockMhz = 2e6; })(),
+                 "clockMhz");
+    EXPECT_DEATH(build([](ErConfig &c) { c.pipelineCycles = -1; })(),
+                 "pipelineCycles");
+    EXPECT_DEATH(build([](ErConfig &c) {
+                     c.policy = router::CreditPolicy::kStatic;
+                     c.staticPerVcFlits = 0;
+                 })(),
+                 "staticPerVcFlits");
+    EXPECT_DEATH(build([](ErConfig &c) {
+                     c.perVcReservedFlits = 0;
+                     c.sharedPoolFlits = 0;
+                 })(),
+                 "elastic credits");
+    EXPECT_DEATH(build([](ErConfig &c) { c.perVcReservedFlits = -1; })(),
+                 "elastic credits");
+    EXPECT_DEATH(build([](ErConfig &c) { c.sharedPoolFlits = -4; })(),
+                 "elastic credits");
+    EXPECT_DEATH(build([](ErConfig &c) {
+                     c.numPorts = 17;
+                     c.numVcs = 4;
+                 })(),
+                 "slots");
+    EXPECT_DEATH(build([](ErConfig &c) {
+                     c.numPorts = 65;
+                     c.numVcs = 1;
+                 })(),
+                 "slots");
+    EXPECT_DEATH(build([](ErConfig &c) { c.numVcs = 0; })(),
+                 "invalid configuration");
+}
+
+TEST(ElasticRouter, FullSlotMaskConfigsRouteTraffic)
+{
+    // 16 ports x 4 VCs and 1 port x 64 VCs use every bit of the
+    // arbiter's 64-slot mask.
+    ErConfig wide;
+    wide.numPorts = 16;
+    wide.numVcs = 4;
+    Harness h(wide);
+    for (int src = 0; src < 16; ++src) {
+        for (int vc = 0; vc < 4; ++vc)
+            h.eps[src]->sendMessage(15 - src, vc, 100);
+    }
+    h.eq.runAll();
+    EXPECT_EQ(h.er->messagesRouted(), 64u);
+
+    ErConfig deep;
+    deep.numPorts = 1;
+    deep.numVcs = 64;
+    deep.perVcReservedFlits = 1;
+    deep.pipelineCycles = 0;
+    Harness u(deep);
+    for (int vc = 0; vc < 64; ++vc)
+        u.eps[0]->sendMessage(0, vc, 64);
+    u.eq.runAll();
+    EXPECT_EQ(u.received[0].size(), 64u);
+}
+
 }  // namespace
