@@ -853,7 +853,10 @@ void
 FaultInjector::holdHostLink(int host)
 {
     if (darkDepth[host]++ == 0) {
-        downSince[host] = nowPs();
+        auto [since, first] = downSince.try_emplace(host);
+        if (first)
+            registerNodeProbes(host);
+        since->second = nowPs();
         cloud.setHostLinkDown(host, true);
     }
 }
@@ -917,20 +920,24 @@ FaultInjector::attachObservability()
             n += dead ? 1 : 0;
         return double(n);
     });
-    // Per-node probes stay legacy-only: a paper-scale sharded attach
-    // would register half a million of them.
-    if (sq != nullptr)
+}
+
+void
+FaultInjector::registerNodeProbes(int host)
+{
+    // Per-node probes stay legacy-only. A server's probes read 0 until
+    // its first impairment, so registering them then costs a paper-scale
+    // fabric only the servers that actually went dark.
+    if (obsHub == nullptr || sq != nullptr)
         return;
-    for (int host = 0; host < cloud.numServers(); ++host) {
-        const std::string node = "fault.node" + std::to_string(host);
-        reg.registerProbe(node + ".down", [this, host] {
-            return nodeDown(host) ? 1.0 : 0.0;
-        });
-        reg.registerProbe(node + ".downtime_us", [this, host] {
-            return double(downtime(host)) /
-                   double(sim::kMicrosecond);
-        });
-    }
+    auto &reg = obsHub->registry;
+    const std::string node = "fault.node" + std::to_string(host);
+    reg.registerLateProbe(node + ".down", [this, host] {
+        return nodeDown(host) ? 1.0 : 0.0;
+    });
+    reg.registerLateProbe(node + ".downtime_us", [this, host] {
+        return double(downtime(host)) / double(sim::kMicrosecond);
+    });
 }
 
 void

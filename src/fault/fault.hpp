@@ -533,6 +533,8 @@ class FaultInjector
     void applyGray(net::Channel &ch, double drop_prob, std::uint64_t seed,
                    sim::TimePs extra);
     void attachObservability();
+    /** Register fault.node<host>.* (at the host's first impairment). */
+    void registerNodeProbes(int host);
     void traceInstant(const std::string &name);
 };
 

@@ -1,6 +1,7 @@
 #include "haas/haas.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "sim/logging.hpp"
 
@@ -42,11 +43,40 @@ void
 ResourceManager::registerNode(int host_index, FpgaManager *fm, int pod,
                               int rack)
 {
-    Node node;
+    if (host_index < 0)
+        sim::fatalf("ResourceManager: negative host index ", host_index);
+    if (static_cast<std::size_t>(host_index) >= nodes.size())
+        nodes.resize(static_cast<std::size_t>(host_index) + 1);
+    Node &node = nodes[static_cast<std::size_t>(host_index)];
+    setState(node, NodeState::kUnallocated);
     node.fm = fm;
     node.pod = pod;
     node.rack = rack;
-    nodes[host_index] = node;
+    node.leaseId = 0;
+}
+
+ResourceManager::Node *
+ResourceManager::findNode(int host_index)
+{
+    return const_cast<Node *>(std::as_const(*this).findNode(host_index));
+}
+
+const ResourceManager::Node *
+ResourceManager::findNode(int host_index) const
+{
+    if (host_index < 0 || static_cast<std::size_t>(host_index) >= nodes.size())
+        return nullptr;
+    const Node &node = nodes[static_cast<std::size_t>(host_index)];
+    return node.state == NodeState::kUnregistered ? nullptr : &node;
+}
+
+void
+ResourceManager::setState(Node &node, NodeState state)
+{
+    if (node.state != NodeState::kUnregistered)
+        --nodesIn[static_cast<std::size_t>(node.state)];
+    node.state = state;
+    ++nodesIn[static_cast<std::size_t>(state)];
 }
 
 std::optional<Lease>
@@ -68,7 +98,8 @@ ResourceManager::acquire(const std::string &service, int count,
         const auto it = ledger_it->second.find(domain);
         return it == ledger_it->second.end() ? 0 : it->second;
     };
-    for (auto &[host, node] : nodes) {
+    for (std::size_t host = 0; host < nodes.size(); ++host) {
+        const Node &node = nodes[host];
         if (node.state != NodeState::kUnallocated)
             continue;
         if (constraints.requirePod >= 0 && node.pod != constraints.requirePod)
@@ -87,7 +118,7 @@ ResourceManager::acquire(const std::string &service, int count,
             ++statAffinitySkips;
             continue;
         }
-        picked.push_back(host);
+        picked.push_back(static_cast<int>(host));
         ++pickedPerRack[node.rack];
         ++pickedPerPod[node.pod];
         if (static_cast<int>(picked.size()) == count)
@@ -101,10 +132,11 @@ ResourceManager::acquire(const std::string &service, int count,
     lease.service = service;
     lease.hosts = picked;
     for (int host : picked) {
-        nodes[host].state = NodeState::kAllocated;
-        nodes[host].leaseId = lease.id;
-        ++svcRackCount[service][nodes[host].rack];
-        ++svcPodCount[service][nodes[host].pod];
+        Node &node = nodes[static_cast<std::size_t>(host)];
+        setState(node, NodeState::kAllocated);
+        node.leaseId = lease.id;
+        ++svcRackCount[service][node.rack];
+        ++svcPodCount[service][node.pod];
     }
     leases[lease.id] = lease;
     return lease;
@@ -137,17 +169,17 @@ ResourceManager::release(std::uint64_t lease_id)
     if (it == leases.end())
         return;
     for (int host : it->second.hosts) {
-        auto nit = nodes.find(host);
-        if (nit == nodes.end())
+        Node *node = findNode(host);
+        if (node == nullptr)
             continue;
-        if (nit->second.state == NodeState::kAllocated &&
-            nit->second.leaseId == lease_id) {
-            nit->second.state = NodeState::kUnallocated;
-            nit->second.leaseId = 0;
-            dropPlacement(it->second.service, nit->second);
+        if (node->state == NodeState::kAllocated &&
+            node->leaseId == lease_id) {
+            setState(*node, NodeState::kUnallocated);
+            node->leaseId = 0;
+            dropPlacement(it->second.service, *node);
             // Reclaimed boards are handed back blank.
-            if (nit->second.fm)
-                nit->second.fm->clearRole();
+            if (node->fm)
+                node->fm->clearRole();
         }
     }
     leases.erase(it);
@@ -156,17 +188,17 @@ ResourceManager::release(std::uint64_t lease_id)
 void
 ResourceManager::reportFailure(int host_index)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    Node *node = findNode(host_index);
+    if (node == nullptr)
         return;
-    if (it->second.state == NodeState::kFailed)
+    if (node->state == NodeState::kFailed)
         return;  // idempotent: duplicate detections of one dead node
     ++statFailures;
-    const bool was_leased = it->second.state == NodeState::kAllocated;
-    const std::uint64_t lease_id = it->second.leaseId;
-    it->second.state = NodeState::kFailed;
-    if (it->second.fm)
-        it->second.fm->markUnhealthy();
+    const bool was_leased = node->state == NodeState::kAllocated;
+    const std::uint64_t lease_id = node->leaseId;
+    setState(*node, NodeState::kFailed);
+    if (node->fm)
+        node->fm->markUnhealthy();
     if (was_leased) {
         // Remove the node from the lease; the SM handles replacement.
         auto lit = leases.find(lease_id);
@@ -174,9 +206,9 @@ ResourceManager::reportFailure(int host_index)
             std::erase(lit->second.hosts, host_index);
             // The dead board no longer counts against its service's
             // anti-affinity caps (the lease release path skips it).
-            dropPlacement(lit->second.service, it->second);
+            dropPlacement(lit->second.service, *node);
         }
-        it->second.leaseId = 0;
+        node->leaseId = 0;
         // Index loop: a callback may subscribe further callbacks.
         for (std::size_t i = 0; i < onFailure.size(); ++i)
             onFailure[i](host_index, lease_id);
@@ -191,22 +223,22 @@ ResourceManager::reportDomainFailure(const std::vector<int> &host_indices)
     // domain cannot be handed a sibling that was about to be convicted.
     std::vector<std::pair<int, std::uint64_t>> notify;
     for (const int host : host_indices) {
-        auto it = nodes.find(host);
-        if (it == nodes.end() || it->second.state == NodeState::kFailed)
+        Node *node = findNode(host);
+        if (node == nullptr || node->state == NodeState::kFailed)
             continue;
         ++statFailures;
-        const bool was_leased = it->second.state == NodeState::kAllocated;
-        const std::uint64_t lease_id = it->second.leaseId;
-        it->second.state = NodeState::kFailed;
-        if (it->second.fm)
-            it->second.fm->markUnhealthy();
+        const bool was_leased = node->state == NodeState::kAllocated;
+        const std::uint64_t lease_id = node->leaseId;
+        setState(*node, NodeState::kFailed);
+        if (node->fm)
+            node->fm->markUnhealthy();
         if (was_leased) {
             auto lit = leases.find(lease_id);
             if (lit != leases.end()) {
                 std::erase(lit->second.hosts, host);
-                dropPlacement(lit->second.service, it->second);
+                dropPlacement(lit->second.service, *node);
             }
-            it->second.leaseId = 0;
+            node->leaseId = 0;
             notify.emplace_back(host, lease_id);
         }
     }
@@ -219,19 +251,19 @@ ResourceManager::reportDomainFailure(const std::vector<int> &host_indices)
 void
 ResourceManager::repair(int host_index)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    Node *node = findNode(host_index);
+    if (node == nullptr)
         return;
-    if (it->second.state != NodeState::kFailed)
+    if (node->state != NodeState::kFailed)
         return;  // healthy or leased nodes are not "repaired"
     ++statRepairs;
-    it->second.state = NodeState::kUnallocated;
-    it->second.leaseId = 0;
-    if (it->second.fm) {
-        it->second.fm->markHealthy();
+    setState(*node, NodeState::kUnallocated);
+    node->leaseId = 0;
+    if (node->fm) {
+        node->fm->markHealthy();
         // Repair re-images the board: the old role region is gone, so
         // the node can be re-leased and reconfigured from scratch.
-        it->second.fm->clearRole();
+        node->fm->clearRole();
     }
     for (std::size_t i = 0; i < onRepair.size(); ++i)
         onRepair[i](host_index);
@@ -240,8 +272,8 @@ ResourceManager::repair(int host_index)
 int
 ResourceManager::nodeRack(int host_index) const
 {
-    const auto it = nodes.find(host_index);
-    return it == nodes.end() ? -1 : it->second.rack;
+    const Node *node = findNode(host_index);
+    return node == nullptr ? -1 : node->rack;
 }
 
 int
@@ -268,9 +300,11 @@ std::vector<int>
 ResourceManager::hostIndices() const
 {
     std::vector<int> out;
-    out.reserve(nodes.size());
-    for (const auto &[host, node] : nodes)
-        out.push_back(host);
+    out.reserve(static_cast<std::size_t>(totalCount()));
+    for (std::size_t host = 0; host < nodes.size(); ++host) {
+        if (nodes[host].state != NodeState::kUnregistered)
+            out.push_back(static_cast<int>(host));
+    }
     return out;
 }
 
@@ -302,57 +336,30 @@ ResourceManager::attachObservability(obs::Observability *o)
 FpgaManager *
 ResourceManager::manager(int host_index)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    const Node *node = findNode(host_index);
+    if (node == nullptr)
         return nullptr;
-    if (it->second.fm == nullptr && resolver) {
+    if (node->fm == nullptr && resolver) {
         // Flyweight stub: materialize on first touch. The resolver
-        // calls back into setNodeManager; re-find in case it mutated
-        // the map (registering further nodes is allowed).
+        // calls back into setNodeManager; re-find in case it grew the
+        // table (registering further nodes is allowed).
         FpgaManager *fm = resolver(host_index);
-        it = nodes.find(host_index);
-        if (it == nodes.end())
+        node = findNode(host_index);
+        if (node == nullptr)
             return fm;
     }
-    return it->second.fm;
+    return node->fm;
 }
 
 void
 ResourceManager::setNodeManager(int host_index, FpgaManager *fm)
 {
-    auto it = nodes.find(host_index);
-    if (it == nodes.end())
+    Node *node = findNode(host_index);
+    if (node == nullptr)
         return;
-    it->second.fm = fm;
-    if (fm != nullptr && it->second.state == NodeState::kFailed)
+    node->fm = fm;
+    if (fm != nullptr && node->state == NodeState::kFailed)
         fm->markUnhealthy();
-}
-
-int
-ResourceManager::freeCount() const
-{
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(), [](const auto &kv) {
-            return kv.second.state == NodeState::kUnallocated;
-        }));
-}
-
-int
-ResourceManager::allocatedCount() const
-{
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(), [](const auto &kv) {
-            return kv.second.state == NodeState::kAllocated;
-        }));
-}
-
-int
-ResourceManager::failedCount() const
-{
-    return static_cast<int>(std::count_if(
-        nodes.begin(), nodes.end(), [](const auto &kv) {
-            return kv.second.state == NodeState::kFailed;
-        }));
 }
 
 ServiceManager::ServiceManager(sim::EventQueue &eq, ResourceManager &rmgr,

@@ -12,8 +12,8 @@
  */
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -26,6 +26,7 @@
 #include "obs/metrics.hpp"
 #include "serving/balancer.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 
 namespace ccsim::haas {
 
@@ -223,10 +224,13 @@ class ResourceManager
     /** All registered host indices, ascending. */
     std::vector<int> hostIndices() const;
 
-    int freeCount() const;
-    int allocatedCount() const;
-    int failedCount() const;
-    int totalCount() const { return static_cast<int>(nodes.size()); }
+    int freeCount() const { return stateCount(NodeState::kUnallocated); }
+    int allocatedCount() const { return stateCount(NodeState::kAllocated); }
+    int failedCount() const { return stateCount(NodeState::kFailed); }
+    int totalCount() const
+    {
+        return freeCount() + allocatedCount() + failedCount();
+    }
 
     /** A registered node's failure-domain (rack) id; -1 if unknown. */
     int nodeRack(int host_index) const;
@@ -250,17 +254,25 @@ class ResourceManager
     void attachObservability(obs::Observability *o);
 
   private:
-    enum class NodeState { kUnallocated, kAllocated, kFailed };
+    enum class NodeState : std::uint8_t {
+        kUnregistered,  ///< a hole in the host-indexed table
+        kUnallocated,
+        kAllocated,
+        kFailed,
+    };
     struct Node {
         FpgaManager *fm = nullptr;
         int pod = 0;
         int rack = 0;  ///< global failure-domain id
-        NodeState state = NodeState::kUnallocated;
+        NodeState state = NodeState::kUnregistered;
         std::uint64_t leaseId = 0;
     };
 
     sim::EventQueue &queue;
-    std::map<int, Node> nodes;
+    /** Indexed by host; host ids are dense, so holes are rare. */
+    std::vector<Node> nodes;
+    /** Registered nodes per NodeState, so the pool counts are O(1). */
+    std::array<int, 4> nodesIn{};
     std::map<std::uint64_t, Lease> leases;
     std::uint64_t nextLeaseId = 1;
     std::vector<FailureFn> onFailure;
@@ -275,6 +287,14 @@ class ResourceManager
 
     /** Drop one @p service placement credit from @p node 's domains. */
     void dropPlacement(const std::string &service, const Node &node);
+    /** The registered node of @p host_index, or nullptr. */
+    Node *findNode(int host_index);
+    const Node *findNode(int host_index) const;
+    void setState(Node &node, NodeState state);
+    int stateCount(NodeState state) const
+    {
+        return nodesIn[static_cast<std::size_t>(state)];
+    }
 };
 
 /**
@@ -408,7 +428,7 @@ class ServiceManager
     sim::TimePs nextMigrationAllowed = 0;
     sim::TimePs lastMigrationAt = -1;
     sim::TimePs minGapObserved = sim::kTimeNever;
-    std::deque<LeaseConstraints> migrationQueue;
+    sim::Fifo<LeaseConstraints> migrationQueue;
     std::uint64_t statMigrationsQueued = 0;
 
     /** The acquire + configure half of a failover. */

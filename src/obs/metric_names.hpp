@@ -305,9 +305,13 @@ inline constexpr MetricPattern kMetricPatterns[] = {
     {"fault.domain.tors_dead", "gauge",
      "TOR switches currently held dark by the injector."},
     {"fault.nodes_down", "gauge", "Servers currently impaired."},
-    {"fault.node*.down", "gauge", "1 while this server is impaired."},
+    {"fault.node*.down", "gauge",
+     "1 while this server is impaired; registered at the server's first "
+     "impairment (sequential kernel only)."},
     {"fault.node*.downtime_us", "gauge",
-     "Accumulated impairment time of this server (microseconds)."},
+     "Accumulated impairment time of this server (microseconds); "
+     "registered at the server's first impairment (sequential kernel "
+     "only)."},
 };
 
 inline constexpr std::size_t kNumMetricPatterns =

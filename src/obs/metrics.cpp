@@ -79,6 +79,22 @@ MetricsRegistry::registerProbe(const std::string &path,
     ++mutations;
 }
 
+void
+MetricsRegistry::registerLateProbe(const std::string &path,
+                                   std::function<double()> fn)
+{
+    registerProbe(path, std::move(fn));
+    if (samplerTicks == 0)
+        return;
+    // Replay the zeros the sampler would have read: the time-average
+    // then spans the same window, and the trace counter treats 0 as
+    // already emitted.
+    Probe &probe = probes[path];
+    probe.tw.update(firstSampleAt, 0.0);
+    probe.everEmitted = samplerTrace != nullptr && samplerTrace->enabled();
+    probe.lastEmitted = 0.0;
+}
+
 const sim::Counter *
 MetricsRegistry::findCounter(const std::string &path) const
 {
@@ -328,7 +344,8 @@ MetricsRegistry::sampleTick()
 void
 MetricsRegistry::sampleAt(sim::TimePs now)
 {
-    ++samplerTicks;
+    if (samplerTicks++ == 0)
+        firstSampleAt = now;
     const bool tracing = samplerTrace != nullptr && samplerTrace->enabled();
     for (auto &[path, probe] : probes) {
         const double v = probe.fn();

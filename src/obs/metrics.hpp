@@ -109,6 +109,16 @@ class MetricsRegistry
      */
     void registerProbe(const std::string &path, std::function<double()> fn);
 
+    /**
+     * Register a probe for state created on first use (a server's first
+     * impairment): the caller guarantees it would have read 0 at every
+     * sampling tick so far. Its time-average and trace counter continue
+     * as if it had been registered before sampling began; the trace only
+     * lacks the initial 0 sample.
+     */
+    void registerLateProbe(const std::string &path,
+                           std::function<double()> fn);
+
     // --- lookup without creation ---
 
     const sim::Counter *findCounter(const std::string &path) const;
@@ -224,6 +234,7 @@ class MetricsRegistry
     sim::TimePs samplerPeriod = 0;
     TraceWriter *samplerTrace = nullptr;
     std::uint64_t samplerTicks = 0;
+    sim::TimePs firstSampleAt = 0;  ///< time of the first sampling tick
 
     void checkNewPath(const std::string &path, const char *kind) const;
     void scheduleTick();

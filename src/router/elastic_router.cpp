@@ -21,11 +21,13 @@ ElasticRouter::ElasticRouter(sim::EventQueue &eq, ErConfig config)
         sim::fatalf(cfg.name, ": pipelineCycles must be >= 0");
     if (cfg.policy == CreditPolicy::kStatic && cfg.staticPerVcFlits < 1)
         sim::fatalf(cfg.name, ": staticPerVcFlits must be >= 1");
+    // ErEndpoint re-pumps only the VC whose credit came back, so a VC
+    // with no reserved flit could wait forever for a shared credit that
+    // another VC freed.
     if (cfg.policy == CreditPolicy::kElastic &&
-        (cfg.perVcReservedFlits < 0 || cfg.sharedPoolFlits < 0 ||
-         cfg.perVcReservedFlits + cfg.sharedPoolFlits == 0))
-        sim::fatalf(cfg.name, ": elastic credits must be >= 0 and not all "
-                              "zero (perVcReservedFlits + sharedPoolFlits)");
+        (cfg.perVcReservedFlits < 1 || cfg.sharedPoolFlits < 0))
+        sim::fatalf(cfg.name, ": elastic credits need perVcReservedFlits "
+                              ">= 1 and sharedPoolFlits >= 0");
     cyclePs = sim::cyclePeriod(cfg.clockMhz);
     routeFn = [](int dst) { return dst; };
     inputs.resize(cfg.numPorts);

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -26,6 +25,7 @@
 #include "obs/metrics.hpp"
 #include "router/flit.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 #include "sim/time.hpp"
 
 namespace ccsim::router {
@@ -49,7 +49,7 @@ struct ErConfig {
     int pipelineCycles = 2;
 
     CreditPolicy policy = CreditPolicy::kElastic;
-    /** Elastic policy: guaranteed flits per VC. */
+    /** Elastic policy: guaranteed flits per VC (at least 1). */
     int perVcReservedFlits = 4;
     /** Elastic policy: extra flits shared across VCs of one input port. */
     int sharedPoolFlits = 56;
@@ -75,7 +75,8 @@ class ElasticRouter
      * Fatal if @p cfg cannot work: no ports or VCs, more than kMaxSlots
      * (port, VC) pairs, a zero flit size, a clock outside (0, 1e6] MHz
      * (faster clocks truncate to a zero-ps cycle), a negative pipeline,
-     * or a credit budget that can never accept a flit.
+     * a static budget below one flit per VC, or an elastic budget with
+     * no reserved flit per VC or a negative shared pool.
      */
     ElasticRouter(sim::EventQueue &eq, ErConfig cfg);
 
@@ -145,7 +146,7 @@ class ElasticRouter
 
   private:
     struct InputVc {
-        std::deque<Flit> fifo;
+        sim::Fifo<Flit> fifo;
         /** Output port locked by the in-flight message, or -1. */
         int lockedOutput = -1;
     };
@@ -266,7 +267,7 @@ class ErEndpoint : public FlitSink
     std::function<void(const ErMessagePtr &)> handler;
 
     /** Pending (already segmented) flits awaiting credits, FIFO per VC. */
-    std::vector<std::deque<Flit>> pending;
+    std::vector<sim::Fifo<Flit>> pending;
     std::uint64_t txMessages = 0;
     std::uint64_t rxMessages = 0;
     std::uint64_t nextMsgId = 1;

@@ -11,12 +11,12 @@
  */
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "router/elastic_router.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fifo.hpp"
 
 namespace ccsim::router {
 
@@ -45,7 +45,7 @@ class ErLink : public FlitSink
     sim::EventQueue &queue;
     ElasticRouter &er;
     int inPort;
-    std::deque<Flit> pending;
+    sim::Fifo<Flit> pending;
     bool retryArmed = false;
 
     void pump()

@@ -3,12 +3,14 @@
  * Live fault injection (ccsim::fault) and the RAII LtlChannel handle:
  * scripted link flaps recover every in-flight LTL message, FPGA hard
  * failures drive exactly one HaaS failover, same-seed fault schedules
- * produce byte-identical metric snapshots, closed handles free their
+ * produce byte-identical metric snapshots, per-node fault probes appear
+ * at a server's first impairment, closed handles free their
  * connection-table entries, and bad configurations die loudly.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -236,7 +238,30 @@ TEST(FaultInjection, SwitchBrownoutDropsAndClears)
 // Determinism: a fault schedule is a pure function of its seed.
 // ---------------------------------------------------------------------
 
-std::string
+struct FaultRun {
+    std::string snapshot;
+    std::set<int> probedHosts;  ///< hosts with fault.node<i>.* paths
+    std::set<int> darkHosts;    ///< hosts with downtime(i) > 0
+};
+
+/** Hosts that have a registered fault.node<i>.down path. */
+std::set<int>
+hostsWithNodeProbes(const obs::MetricsRegistry &reg)
+{
+    std::set<int> hosts;
+    const std::string prefix = "fault.node";
+    const std::string suffix = ".down";
+    for (const std::string &path : reg.paths()) {
+        if (path.rfind(prefix, 0) != 0 || path.size() <= suffix.size() ||
+            path.compare(path.size() - suffix.size(), suffix.size(),
+                         suffix) != 0)
+            continue;
+        hosts.insert(std::stoi(path.substr(prefix.size())));
+    }
+    return hosts;
+}
+
+FaultRun
 faultRunSnapshot(std::uint64_t seed)
 {
     EventQueue eq;
@@ -267,18 +292,63 @@ faultRunSnapshot(std::uint64_t seed)
                          });
     }
     eq.runFor(sim::fromMillis(8));
-    return hub.registry.snapshotJson();
+    FaultRun run;
+    run.snapshot = hub.registry.snapshotJson();
+    run.probedHosts = hostsWithNodeProbes(hub.registry);
+    for (int h = 0; h < cloud.numServers(); ++h) {
+        if (inj.downtime(h) > 0)
+            run.darkHosts.insert(h);
+    }
+    return run;
 }
 
 TEST(FaultInjection, SameSeedScheduleIsByteIdentical)
 {
-    const auto a = faultRunSnapshot(11);
-    const auto b = faultRunSnapshot(11);
-    EXPECT_FALSE(a.empty());
-    EXPECT_EQ(a, b);
+    const FaultRun a = faultRunSnapshot(11);
+    const FaultRun b = faultRunSnapshot(11);
+    EXPECT_FALSE(a.snapshot.empty());
+    EXPECT_EQ(a.snapshot, b.snapshot);
     // fault.* metrics are part of the snapshot.
-    EXPECT_NE(a.find("fault.injected"), std::string::npos);
-    EXPECT_NE(a.find("fault.node0.downtime_us"), std::string::npos);
+    EXPECT_NE(a.snapshot.find("fault.injected"), std::string::npos);
+    EXPECT_NE(a.snapshot.find("fault.node0.downtime_us"), std::string::npos);
+    // Per-node probes exist exactly for the hosts that went dark.
+    EXPECT_FALSE(a.darkHosts.empty());
+    EXPECT_EQ(a.probedHosts, a.darkHosts);
+}
+
+TEST(FaultInjection, NodeProbesAppearAtFirstImpairment)
+{
+    EventQueue eq;
+    obs::Observability hub;
+    auto cfg = smallCloud();
+    cfg.obs = &hub;
+    core::ConfigurableCloud cloud(eq, cfg);
+    FaultInjector inj(eq, cloud,
+                      FaultConfig{}.withHostLinkFlap(
+                          sim::fromMicros(100), 2, sim::fromMicros(50)));
+    inj.arm();
+    const auto &reg = hub.registry;
+    const auto value = [&](const std::string &path) {
+        return reg.probeValue(path);
+    };
+
+    eq.runFor(sim::fromMicros(90));
+    EXPECT_TRUE(hostsWithNodeProbes(reg).empty());
+    EXPECT_FALSE(reg.hasProbe("fault.node2.downtime_us"));
+
+    eq.runFor(sim::fromMicros(30));  // t = 120 us: mid-outage
+    ASSERT_TRUE(reg.hasProbe("fault.node2.down"));
+    ASSERT_TRUE(reg.hasProbe("fault.node2.downtime_us"));
+    EXPECT_EQ(value("fault.node2.down"), 1.0);
+    EXPECT_DOUBLE_EQ(value("fault.node2.downtime_us"), 20.0);
+
+    eq.runFor(sim::fromMicros(80));  // t = 200 us: recovered
+    EXPECT_EQ(value("fault.node2.down"), 0.0);
+    EXPECT_DOUBLE_EQ(value("fault.node2.downtime_us"), 50.0);
+    EXPECT_EQ(inj.downtime(2), sim::fromMicros(50));
+    // A never-impaired host has no per-node path.
+    EXPECT_EQ(hostsWithNodeProbes(reg), std::set<int>{2});
+    EXPECT_FALSE(reg.hasProbe("fault.node3.down"));
 }
 
 // ---------------------------------------------------------------------

@@ -2,10 +2,12 @@
  * @file
  * HaaS unit tests: lease lifecycle, constraints, pool accounting,
  * failure reporting and SM failover, FM configuration, and the
- * HealthMonitor's per-source evidence idempotence.
+ * HealthMonitor's per-source evidence idempotence, and randomized pool
+ * accounting against a shadow model.
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "haas/health_monitor.hpp"
 #include "roles/dnn_role.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 
 namespace {
 
@@ -183,6 +186,103 @@ TEST(ResourceManager, RepairedNodeSatisfiesPodConstraintAgain)
     auto again = pool.rm.acquire("svc", 1, c);
     ASSERT_TRUE(again.has_value());
     EXPECT_EQ(again->hosts.front(), 1);
+}
+
+TEST(ResourceManager, RandomizedOpsKeepPoolCountsExact)
+{
+    // A shadow model replays a random acquire / release / failure /
+    // domain-failure / repair sequence. The O(1) pool counts must equal
+    // a recount of the model over hostIndices() after every step, and
+    // first-fit placement must pick the lowest free hosts. Hosts 7 and
+    // 13 are holes in the host-indexed table; 40 is past its end.
+    enum class St { kFree, kAllocated, kFailed };
+    EventQueue eq;
+    ResourceManager rm{eq};
+    std::map<int, std::unique_ptr<FpgaManager>> fms;
+    std::map<int, St> model;
+    std::map<int, std::uint64_t> leaseOf;
+    for (int h : {0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18,
+                  19, 20, 21, 22, 23, 24, 25, 30, 31}) {
+        fms[h] = std::make_unique<FpgaManager>(eq, nullptr, h);
+        rm.registerNode(h, fms[h].get(), h % 3, h / 4);
+        model[h] = St::kFree;
+    }
+    const std::vector<int> pickable = {0,  3,  7,  8,  12, 13, 16, 19,
+                                       22, 25, 30, 31, 40};
+    std::vector<std::uint64_t> live;
+    sim::Rng rng(0x4AA5);
+    for (int step = 0; step < 3000; ++step) {
+        const int pick = pickable[rng.uniformInt(pickable.size())];
+        switch (rng.uniformInt(5)) {
+        case 0: {
+            const int want = 1 + static_cast<int>(rng.uniformInt(4));
+            std::vector<int> expect;
+            for (const auto &[h, st] : model) {
+                if (st == St::kFree &&
+                    static_cast<int>(expect.size()) < want)
+                    expect.push_back(h);
+            }
+            auto lease = rm.acquire("svc", want);
+            if (static_cast<int>(expect.size()) < want) {
+                EXPECT_FALSE(lease.has_value());
+                break;
+            }
+            ASSERT_TRUE(lease.has_value());
+            ASSERT_EQ(lease->hosts, expect);
+            for (int h : expect) {
+                model[h] = St::kAllocated;
+                leaseOf[h] = lease->id;
+            }
+            live.push_back(lease->id);
+            break;
+        }
+        case 1:
+            if (!live.empty()) {
+                const auto i = rng.uniformInt(live.size());
+                rm.release(live[i]);
+                for (auto &[h, st] : model) {
+                    if (st == St::kAllocated && leaseOf[h] == live[i])
+                        st = St::kFree;
+                }
+                live.erase(live.begin() + static_cast<long>(i));
+            }
+            break;
+        case 2:
+            rm.reportFailure(pick);
+            if (model.count(pick))
+                model[pick] = St::kFailed;
+            break;
+        case 3: {
+            const std::vector<int> domain = {pick, pick + 1, pick + 2};
+            rm.reportDomainFailure(domain);
+            for (int h : domain) {
+                if (model.count(h))
+                    model[h] = St::kFailed;
+            }
+            break;
+        }
+        default:
+            rm.repair(pick);
+            if (model.count(pick) && model[pick] == St::kFailed)
+                model[pick] = St::kFree;
+            break;
+        }
+        int counts[3] = {0, 0, 0};
+        for (int h : rm.hostIndices()) {
+            ASSERT_TRUE(model.count(h)) << "unregistered host " << h;
+            ++counts[static_cast<int>(model[h])];
+            EXPECT_EQ(fms[h]->status().healthy, model[h] != St::kFailed);
+        }
+        ASSERT_EQ(rm.freeCount(), counts[0]) << "step " << step;
+        ASSERT_EQ(rm.allocatedCount(), counts[1]) << "step " << step;
+        ASSERT_EQ(rm.failedCount(), counts[2]) << "step " << step;
+        ASSERT_EQ(rm.freeCount() + rm.allocatedCount() + rm.failedCount(),
+                  rm.totalCount());
+        ASSERT_EQ(rm.totalCount(), static_cast<int>(model.size()));
+    }
+    EXPECT_EQ(rm.nodeRack(7), -1);
+    EXPECT_EQ(rm.nodeRack(40), -1);
+    EXPECT_EQ(rm.nodeRack(31), 7);
 }
 
 TEST(ResourceManager, MultipleSubscribersFireInSubscriptionOrder)

@@ -503,6 +503,35 @@ TEST(Sampler, EmitsTraceCountersOnFirstTickThenOnChange)
               (std::vector<std::string>{"a", "b"}));
 }
 
+TEST(Sampler, LateProbeContinuesAsIfRegisteredBeforeSampling)
+{
+    // The signal reads 0 until t=35us. `early` registers it up front;
+    // `late` registers it at t=35us with registerLateProbe(). Snapshots
+    // (value and time-average) must agree; the late trace lacks only
+    // the initial 0 counter sample.
+    EventQueue eq;
+    Observability early;
+    Observability late;
+    early.trace.setEnabled(true);
+    late.trace.setEnabled(true);
+    double signal = 0.0;
+    early.registry.registerProbe("x.signal", [&] { return signal; });
+    early.registry.startSampling(eq, 10 * sim::kMicrosecond, &early.trace);
+    late.registry.startSampling(eq, 10 * sim::kMicrosecond, &late.trace);
+    eq.scheduleAfter(35 * sim::kMicrosecond, [&] {
+        signal = 100.0;
+        late.registry.registerLateProbe("x.signal", [&] { return signal; });
+    });
+    eq.runUntil(95 * sim::kMicrosecond);
+    early.registry.stopSampling();
+    late.registry.stopSampling();
+
+    EXPECT_DOUBLE_EQ(late.registry.probeTimeAverage("x.signal"), 62.5);
+    EXPECT_EQ(late.registry.snapshotJson(), early.registry.snapshotJson());
+    EXPECT_EQ(early.trace.eventCount(), 2u);  // 0 at 10us, 100 at 40us
+    EXPECT_EQ(late.trace.eventCount(), 1u);   // 100 at 40us
+}
+
 TEST(Sampler, RestartReplacesSchedule)
 {
     EventQueue eq;

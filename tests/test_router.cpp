@@ -418,6 +418,10 @@ TEST(ElasticRouterDeathTest, InvalidConfigsAreFatal)
                  "elastic credits");
     EXPECT_DEATH(build([](ErConfig &c) { c.perVcReservedFlits = -1; })(),
                  "elastic credits");
+    // A VC with no reserved flit can starve: ErEndpoint re-pumps only
+    // the VC whose credit came back, not one waiting on the shared pool.
+    EXPECT_DEATH(build([](ErConfig &c) { c.perVcReservedFlits = 0; })(),
+                 "perVcReservedFlits >= 1");
     EXPECT_DEATH(build([](ErConfig &c) { c.sharedPoolFlits = -4; })(),
                  "elastic credits");
     EXPECT_DEATH(build([](ErConfig &c) {
