@@ -320,6 +320,17 @@ main(int argc, char **argv)
                 delta, pre.p99, post.p99);
 
     bool ok = true;
+    // Even the short run must lose no query and must serve queries on
+    // the spare once re-pointed.
+    if (server.inFlight() != 0) {
+        std::printf("FAIL: %llu queries never completed\n",
+                    static_cast<unsigned long long>(server.inFlight()));
+        ok = false;
+    }
+    if (post.n == 0) {
+        std::printf("FAIL: no query completed after recovery\n");
+        ok = false;
+    }
     if (!quick) {
         // The degraded window is short (~1.3 ms: detection + re-resolve),
         // so its p99 barely moves — the software-path excursion shows up
@@ -332,12 +343,6 @@ main(int argc, char **argv)
         if (rescued + static_cast<std::uint64_t>(
                           probe("host.rank.sw_feature_queries")) == 0) {
             std::printf("FAIL: no query ever took the software path\n");
-            ok = false;
-        }
-        if (server.inFlight() != 0) {
-            std::printf("FAIL: %llu queries never completed\n",
-                        static_cast<unsigned long long>(
-                            server.inFlight()));
             ok = false;
         }
         if (std::abs(delta) > 5.0) {

@@ -214,12 +214,20 @@ Shell::sendFromHost(int role_port, std::uint32_t bytes,
 }
 
 void
-Shell::setHostRxHandler(int role_port, HostRxFn fn)
+Shell::setHostRxHandler(int role_port, HostRxFn fn, const void *owner)
 {
     if (fn)
-        hostRxByPort[role_port] = std::move(fn);
+        hostRxByPort[role_port] = PortRx{std::move(fn), owner};
     else
         hostRxByPort.erase(role_port);
+}
+
+void
+Shell::clearHostRxHandler(int role_port, const void *owner)
+{
+    auto it = hostRxByPort.find(role_port);
+    if (it != hostRxByPort.end() && it->second.owner == owner)
+        hostRxByPort.erase(it);
 }
 
 void
@@ -229,7 +237,7 @@ Shell::onPcieMessage(const router::ErMessagePtr &msg)
     pcieUnit.fpgaToHost(msg->sizeBytes, [this, msg] {
         auto it = hostRxByPort.find(msg->srcEndpoint);
         if (it != hostRxByPort.end()) {
-            it->second(msg->srcEndpoint, msg);
+            it->second.fn(msg->srcEndpoint, msg);
             return;
         }
         if (hostRx)

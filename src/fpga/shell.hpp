@@ -145,9 +145,18 @@ class Shell
      * Route host-bound messages from the role at @p role_port to @p fn,
      * overriding the global handler for that port only. Lets several
      * host-side clients share one shell, each listening to its own
-     * role (e.g. a forwarder pool). Pass nullptr to remove.
+     * role (e.g. a forwarder pool). Pass nullptr to remove. @p owner
+     * tags the registration for clearHostRxHandler().
      */
-    void setHostRxHandler(int role_port, HostRxFn fn);
+    void setHostRxHandler(int role_port, HostRxFn fn,
+                          const void *owner = nullptr);
+
+    /**
+     * Remove @p role_port's handler if @p owner still owns it. A client
+     * replaced on its port by a newer one is no longer the owner, and
+     * its teardown must leave the successor registered.
+     */
+    void clearHostRxHandler(int role_port, const void *owner);
 
     // --- remote acceleration (LTL) ------------------------------------------
 
@@ -271,7 +280,11 @@ class Shell
 
     Bridge::TapFn roleTap;
     HostRxFn hostRx;
-    std::map<int, HostRxFn> hostRxByPort;  // per-port overrides
+    struct PortRx {
+        HostRxFn fn;
+        const void *owner;  ///< tag given to setHostRxHandler()
+    };
+    std::map<int, PortRx> hostRxByPort;  // per-port overrides
     std::vector<int> connToPort;  // LTL receive conn -> ER port
 
     // Reliability state.

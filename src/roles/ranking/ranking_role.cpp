@@ -135,12 +135,14 @@ RemoteRankingClient::RemoteRankingClient(sim::EventQueue &eq,
         forwarder.port(),
         [this](int role_port, const router::ErMessagePtr &msg) {
             onHostRx(role_port, msg);
-        });
+        },
+        this);
 }
 
 RemoteRankingClient::~RemoteRankingClient()
 {
-    shell.setHostRxHandler(forwarder.port(), nullptr);
+    // A newer client on the same forwarder may own the port by now.
+    shell.clearHostRxHandler(forwarder.port(), this);
 }
 
 void

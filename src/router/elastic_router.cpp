@@ -158,19 +158,25 @@ ElasticRouter::routeOf(const Flit &flit) const
     return out;
 }
 
+sim::TimePs
+ElasticRouter::nextEdge() const
+{
+    return (queue.now() / cyclePs + 1) * cyclePs;
+}
+
 void
 ElasticRouter::scheduleTick()
 {
     if (tickScheduled)
         return;
     tickScheduled = true;
-    // Align to the next cycle boundary for a clocked-crossbar feel.
-    const sim::TimePs now = queue.now();
-    const sim::TimePs next = ((now / cyclePs) + 1) * cyclePs;
-    queue.schedule(next, [this] {
-        tickScheduled = false;
-        tick();
-    });
+    if (inTick) {
+        // tick() schedules or continues the next cycle when it ends; the
+        // ticket keeps the FIFO position a tick scheduled here has.
+        tickTicket = queue.takeTicket();
+        return;
+    }
+    queue.schedule(nextEdge(), [this] { tick(); });
 }
 
 void
@@ -270,9 +276,8 @@ ElasticRouter::arbitrate(int out_idx, SlotMask used, sim::TimePs now)
 }
 
 void
-ElasticRouter::tick()
+ElasticRouter::allocateCycle(sim::TimePs now)
 {
-    const sim::TimePs now = queue.now();
     // Per-cycle separable allocation: each output grants at most one
     // input; each input sends at most one flit. Only outputs that some
     // head flit requests are visited, in ascending order; requests added
@@ -280,7 +285,6 @@ ElasticRouter::tick()
     // current one.
     for (SlotMask m = occupied; m != 0; m &= m - 1)
         requestOutput(std::countr_zero(m));
-    inTick = true;
     SlotMask used = 0;  // slots of inputs that already sent this cycle
     for (int out_idx = 0; out_idx < cfg.numPorts; ++out_idx) {
         const std::uint64_t ahead = requestedOutputs >> out_idx;
@@ -291,15 +295,34 @@ ElasticRouter::tick()
         if (slot >= 0)
             used |= inputSlotBits << (slotInput[slot] * cfg.numVcs);
     }
-    inTick = false;
     for (std::uint64_t m = requestedOutputs; m != 0; m &= m - 1)
         outputs[std::countr_zero(m)].requests = 0;
     requestedOutputs = 0;
+}
 
-    if (occupied != 0) {
-        ++statBusyCycles;
-        scheduleTick();
+void
+ElasticRouter::tick()
+{
+    inTick = true;
+    while (true) {
+        tickScheduled = false;
+        allocateCycle(queue.now());
+        if (occupied != 0) {
+            ++statBusyCycles;
+            scheduleTick();
+        }
+        if (!tickScheduled)
+            break;
+        // The next cycle runs in place when the kernel proves nothing
+        // else is due before its edge, else as an event at the ticket's
+        // position: the same order either way.
+        const sim::TimePs next = nextEdge();
+        if (!queue.advanceIfIdle(next)) {
+            queue.scheduleTicket(next, tickTicket, [this] { tick(); });
+            break;
+        }
     }
+    inTick = false;
 }
 
 ErEndpoint::ErEndpoint(sim::EventQueue &eq, ElasticRouter &router, int p,

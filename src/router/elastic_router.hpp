@@ -176,8 +176,12 @@ class ElasticRouter
     std::function<int(int)> routeFn;
     std::vector<InputPort> inputs;
     std::vector<OutputPort> outputs;
+    /** A tick is pending: scheduled, or reserved by tickTicket while
+     * tick() runs. */
     bool tickScheduled = false;
     bool inTick = false;
+    /** Queue position of the next tick, taken while tick() runs. */
+    sim::Ticket tickTicket = 0;
     int numSlots = 0;
     /** Slot -> input port (avoids a division per slot). */
     std::vector<int> slotInput;
@@ -201,8 +205,13 @@ class ElasticRouter
     int statPeakBuffered = 0;
     int totalBuffered = 0;
 
+    /** The first clock edge after now(). */
+    sim::TimePs nextEdge() const;
     void scheduleTick();
+    /** Run router cycles, in place while the kernel allows it. */
     void tick();
+    /** One cycle's separable allocation at clock edge @p now. */
+    void allocateCycle(sim::TimePs now);
     /** Resolve the head flit of @p slot to the output it requests. */
     void requestOutput(int slot);
     /** Grant output @p out_idx to the first eligible requester in

@@ -30,7 +30,7 @@ TimerWheelQueue::TimerWheelQueue()
 TimerWheelQueue::~TimerWheelQueue() = default;
 
 std::uint32_t
-TimerWheelQueue::allocRecord(TimePs when, EventFn &&fn)
+TimerWheelQueue::allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn)
 {
     std::uint32_t idx;
     if (!freeList.empty()) {
@@ -42,7 +42,7 @@ TimerWheelQueue::allocRecord(TimePs when, EventFn &&fn)
     }
     Record &r = pool[idx];
     r.when = when;
-    r.seq = nextSeq++;
+    r.seq = seq;
     r.state = SlotState::kLive;
     r.fn = std::move(fn);
     return idx;
@@ -98,6 +98,37 @@ TimerWheelQueue::nextOccupiedSlot(int level)
         ror64(occupied[level],
               static_cast<unsigned>(cursor[level] & (kSlots - 1)));
     return cursor[level] + std::countr_zero(rot);
+}
+
+int
+TimerWheelQueue::earliestSlot(std::int64_t &slot, TimePs &start)
+{
+    int minLevel = -1;
+    for (int level = 0; level < kLevels; ++level) {
+        if (occupied[level] == 0)
+            continue;
+        const std::int64_t s = nextOccupiedSlot(level);
+        const TimePs st = static_cast<TimePs>(s) << shiftOf(level);
+        if (minLevel < 0 || st <= start) {
+            minLevel = level;
+            slot = s;
+            start = st;
+        }
+    }
+    return minLevel;
+}
+
+void
+TimerWheelQueue::pruneOverflowTop()
+{
+    while (!overflow.empty() &&
+           pool[overflow.front().idx].state == SlotState::kDead) {
+        const std::uint32_t dead = overflow.front().idx;
+        std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
+        overflow.pop_back();
+        freeRecord(dead);
+        --deadParked;
+    }
 }
 
 void
@@ -252,15 +283,7 @@ TimerWheelQueue::ensureNext()
         if (dueSlotAbs >= 0) {
             mergeDueArrivals();
             if (dueFrontLive()) {
-                while (!overflow.empty() &&
-                       pool[overflow.front().idx].state == SlotState::kDead) {
-                    const std::uint32_t dead = overflow.front().idx;
-                    std::pop_heap(overflow.begin(), overflow.end(),
-                                  FarLater{});
-                    overflow.pop_back();
-                    freeRecord(dead);
-                    --deadParked;
-                }
+                pruneOverflowTop();
                 if (!overflow.empty()) {
                     const DueEntry &front = due[duePos];
                     const FarEvent &top = overflow.front();
@@ -274,35 +297,11 @@ TimerWheelQueue::ensureNext()
 
         // Prune cancelled overflow tops so the comparisons below see a
         // live candidate.
-        while (!overflow.empty() &&
-               pool[overflow.front().idx].state == SlotState::kDead) {
-            const std::uint32_t dead = overflow.front().idx;
-            std::pop_heap(overflow.begin(), overflow.end(), FarLater{});
-            overflow.pop_back();
-            freeRecord(dead);
-            --deadParked;
-        }
+        pruneOverflowTop();
 
-        // Find the earliest occupied slot across all wheel levels.
-        int minLevel = -1;
         std::int64_t minSlot = 0;
         TimePs minStart = 0;
-        for (int level = 0; level < kLevels; ++level) {
-            if (occupied[level] == 0)
-                continue;
-            const std::int64_t slot = nextOccupiedSlot(level);
-            const TimePs start = static_cast<TimePs>(slot)
-                                 << shiftOf(level);
-            // On equal starts prefer the higher level so its slot is
-            // cascaded before the finer slot is drained (it may hold
-            // earlier events within the shared start).
-            if (minLevel < 0 || start <= minStart) {
-                minLevel = level;
-                minSlot = slot;
-                minStart = start;
-            }
-        }
-
+        const int minLevel = earliestSlot(minSlot, minStart);
         if (minLevel < 0) {
             // Wheel empty: the overflow heap alone orders what is left.
             return overflow.empty() ? Next::kNone : Next::kOverflow;
@@ -366,19 +365,145 @@ TimerWheelQueue::nextEventTime()
     return when;
 }
 
+bool
+TimerWheelQueue::level0ClearBefore(std::int64_t slot) const
+{
+    const std::int64_t d = slot - cursor[0];
+    if (d <= 0)
+        return true;
+    if (d >= kSlots)
+        return occupied[0] == 0;
+    const std::uint64_t rot =
+        ror64(occupied[0], static_cast<unsigned>(cursor[0] & (kSlots - 1)));
+    return (rot & ((std::uint64_t{1} << d) - 1)) == 0;
+}
+
+bool
+TimerWheelQueue::idleThrough(TimePs t)
+{
+    // A committed due buffer holds the global minimum apart from the
+    // overflow heap (see ensureNext()).
+    if (dueSlotAbs >= 0) {
+        mergeDueArrivals();
+        if (dueFrontLive()) {
+            if (due[duePos].when <= t)
+                return false;
+            pruneOverflowTop();
+            if (!overflow.empty() && overflow.front().when <= t)
+                return false;
+            quietUntil = std::min(due[duePos].when,
+                                  (dueSlotAbs + 1) << kSlotShift0);
+            if (!overflow.empty())
+                quietUntil = std::min(quietUntil, overflow.front().when);
+            return true;
+        }
+    }
+    TimePs bound = kTimeNever;
+    while (true) {
+        std::int64_t slot = 0;
+        TimePs start = 0;
+        const int level = earliestSlot(slot, start);
+        if (level < 0)
+            break;
+        if (start > t) {
+            bound = start;
+            break;
+        }
+        if (level > 0) {
+            cascade(level, slot);
+            continue;
+        }
+        // A level-0 slot that starts at or before t: reclaim its
+        // tombstones and look for a live event due by t.
+        auto &cell = cells[0][slot & (kSlots - 1)];
+        TimePs cellMin = kTimeNever;
+        std::erase_if(cell, [&](std::uint32_t idx) {
+            if (pool[idx].state == SlotState::kDead) {
+                freeRecord(idx);
+                --deadParked;
+                return true;
+            }
+            cellMin = std::min(cellMin, pool[idx].when);
+            return false;
+        });
+        if (cellMin <= t)
+            return false;
+        if (!cell.empty()) {
+            // Live but later than t: the slot holds t itself.
+            bound = std::min(cellMin, (slot + 1) << kSlotShift0);
+            break;
+        }
+        occupied[0] &= ~(std::uint64_t{1} << (slot & (kSlots - 1)));
+    }
+    // Cascades can spill stale-cursor misses into the overflow heap, so
+    // it is consulted last.
+    pruneOverflowTop();
+    if (!overflow.empty()) {
+        if (overflow.front().when <= t)
+            return false;
+        bound = std::min(bound, overflow.front().when);
+    }
+    quietUntil = bound;
+    return true;
+}
+
+bool
+TimerWheelQueue::advanceIfIdle(TimePs t)
+{
+    if (t < currentTime)
+        panicf("EventQueue::advanceIfIdle: time ", t, " is in the past (now ",
+               currentTime, ")");
+    if (t > inlineLimit)
+        return false;
+    // An earlier proof still covers t unless t reaches quietUntil or
+    // tombstones sit in level-0 cells the cursor is about to pass (only
+    // idleThrough() reclaims them).
+    const std::int64_t slotT = t >> kSlotShift0;
+    if ((t >= quietUntil || !level0ClearBefore(slotT)) && !idleThrough(t))
+        return false;
+    // Leaving the slot the due buffer is committed to releases it: its
+    // cell index would otherwise be reused by a slot 64 later, and
+    // mergeDueArrivals() would dispatch that slot's events ahead of
+    // everything in between. Nothing in it is due by t, so this only
+    // returns tombstones or later events to the wheel.
+    if (dueSlotAbs >= 0 && dueSlotAbs != slotT)
+        unloadDue();
+    // Every occupied level-0 slot now lies at or after t's, so the
+    // cursor may follow, as draining t's slot would have moved it.
+    if (cursor[0] < slotT)
+        cursor[0] = slotT;
+    // The held ticket's event is dispatched: it stops being live.
+    --liveCount;
+    currentTime = t;
+    ++executedCount;
+    ++inlinedCount;
+    return true;
+}
+
 EventId
 TimerWheelQueue::schedule(TimePs when, EventFn fn)
 {
     if (when < currentTime)
         panicf("EventQueue::schedule: time ", when, " is in the past (now ",
                currentTime, ")");
-    const std::uint32_t idx = allocRecord(when, std::move(fn));
-    ++liveCount;
-    if (liveCount > peakLive)
-        peakLive = liveCount;
+    const std::uint32_t idx = allocRecord(when, nextSeq++, std::move(fn));
+    notePeak(++liveCount);
+    quietUntil = std::min(quietUntil, when);
     place(idx, when);
-    return (static_cast<EventId>(pool[idx].gen) << 32) |
-           static_cast<EventId>(idx + 1);
+    return handleOf(idx);
+}
+
+EventId
+TimerWheelQueue::scheduleTicket(TimePs when, Ticket ticket, EventFn fn)
+{
+    if (when < currentTime)
+        panicf("EventQueue::scheduleTicket: time ", when,
+               " is in the past (now ", currentTime, ")");
+    // The ticket already counts as live (takeTicket()).
+    const std::uint32_t idx = allocRecord(when, ticket, std::move(fn));
+    quietUntil = std::min(quietUntil, when);
+    place(idx, when);
+    return handleOf(idx);
 }
 
 void
@@ -442,12 +567,9 @@ TimerWheelQueue::maybeSweep()
     deadParked = 0;
 }
 
-bool
-TimerWheelQueue::step()
+void
+TimerWheelQueue::dispatch(std::uint32_t idx)
 {
-    const std::uint32_t idx = takeNext();
-    if (idx == kInvalidRecord)
-        return false;
     Record &r = pool[idx];
     const TimePs when = r.when;
     EventFn fn = std::move(r.fn);
@@ -456,12 +578,23 @@ TimerWheelQueue::step()
     currentTime = when;
     ++executedCount;
     fn();
+}
+
+bool
+TimerWheelQueue::step()
+{
+    const std::uint32_t idx = takeNext();
+    if (idx == kInvalidRecord)
+        return false;
+    dispatch(idx);  // outside a run: inlineLimit forbids continuing
     return true;
 }
 
 void
 TimerWheelQueue::runUntil(TimePs limit)
 {
+    const TimePs outer = inlineLimit;
+    inlineLimit = limit;
     while (true) {
         const std::uint32_t idx = takeNext();
         if (idx == kInvalidRecord)
@@ -476,15 +609,9 @@ TimerWheelQueue::runUntil(TimePs limit)
             unloadDue();
             break;
         }
-        Record &r = pool[idx];
-        const TimePs when = r.when;
-        EventFn fn = std::move(r.fn);
-        --liveCount;
-        freeRecord(idx);
-        currentTime = when;
-        ++executedCount;
-        fn();
+        dispatch(idx);
     }
+    inlineLimit = outer;
     if (currentTime < limit)
         currentTime = limit;
 }
@@ -492,8 +619,15 @@ TimerWheelQueue::runUntil(TimePs limit)
 void
 TimerWheelQueue::runAll()
 {
-    while (step()) {
+    const TimePs outer = inlineLimit;
+    inlineLimit = kTimeNever;
+    while (true) {
+        const std::uint32_t idx = takeNext();
+        if (idx == kInvalidRecord)
+            break;
+        dispatch(idx);
     }
+    inlineLimit = outer;
 }
 
 // ---------------------------------------------------------------------------
@@ -509,9 +643,20 @@ BinaryHeapQueue::schedule(TimePs when, EventFn fn)
     const EventId id = nextId++;
     heap.push(Entry{when, id, std::move(fn)});
     liveIds.insert(id);
-    if (liveIds.size() > peakLive)
-        peakLive = liveIds.size();
+    notePeak();
     return id;
+}
+
+EventId
+BinaryHeapQueue::scheduleTicket(TimePs when, Ticket ticket, EventFn fn)
+{
+    if (when < currentTime)
+        panicf("EventQueue::scheduleTicket: time ", when,
+               " is in the past (now ", currentTime, ")");
+    heap.push(Entry{when, ticket, std::move(fn)});
+    liveIds.insert(ticket);
+    --ticketsHeld;
+    return ticket;
 }
 
 void

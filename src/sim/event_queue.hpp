@@ -26,6 +26,11 @@
  * Both backends execute events in exactly the same order ((time,
  * schedule-order) ascending) and report identical now()/size()
  * trajectories for identical schedule/cancel/run call sequences.
+ *
+ * A clocked component can continue its running event in place at its
+ * next edge (advanceIfIdle) instead of scheduling it, when the kernel
+ * proves no other event is due first. Only the wheel ever does; the
+ * heap always refuses, so it stays the per-event oracle.
  */
 #pragma once
 
@@ -45,6 +50,9 @@ using EventId = std::uint64_t;
 
 /** Sentinel EventId meaning "no event". */
 inline constexpr EventId kNoEvent = 0;
+
+/** A reserved schedule position; see TimerWheelQueue::takeTicket(). */
+using Ticket = std::uint64_t;
 
 /**
  * A deterministic discrete-event queue backed by a hierarchical timing
@@ -105,6 +113,37 @@ class TimerWheelQueue
     }
 
     /**
+     * Reserve the FIFO position of an event whose time the running
+     * event does not know yet. From here on the ticket counts as a live
+     * event (size(), peakLiveEvents()), exactly as if it had been
+     * scheduled now. Redeem it before the running event returns, with
+     * scheduleTicket() or advanceIfIdle().
+     */
+    Ticket takeTicket()
+    {
+        notePeak(++liveCount);
+        return nextSeq++;
+    }
+
+    /** Schedule @p fn at @p when in the FIFO position of @p ticket. */
+    EventId scheduleTicket(TimePs when, Ticket ticket, EventFn fn);
+
+    /**
+     * Run the event a held ticket reserves in place: advance now() to
+     * @p t and return true, provided a runUntil()/runAll() in progress
+     * allows @p t and no live event is due at or before @p t. The
+     * caller then carries on as that event, and the ticket is redeemed:
+     * the event counts as executed (and in eventsInlined()), so every
+     * counter but wheelOverflows() reads as if it had been scheduled at
+     * @p t and dispatched.
+     * Otherwise returns false and changes nothing observable; the
+     * caller still holds the ticket. Never continues under step().
+     *
+     * @pre The running event holds a ticket from takeTicket(); t >= now().
+     */
+    bool advanceIfIdle(TimePs t);
+
+    /**
      * Cancel a previously scheduled event.
      *
      * O(1). The closure (and everything it captured) is destroyed
@@ -162,6 +201,12 @@ class TimerWheelQueue
     std::uint64_t wheelOverflows() const { return overflowCount; }
     /** Highest number of simultaneously live events seen. */
     std::size_t peakLiveEvents() const { return peakLive; }
+    /**
+     * Executed events that ran in place through advanceIfIdle() and so
+     * never went through the wheel. A cost of the executor, not of the
+     * simulation: it is not exported with the sim.queue.* probes.
+     */
+    std::uint64_t eventsInlined() const { return inlinedCount; }
 
   private:
     // Wheel geometry. Level L slots are 2^(kSlotShift0 + 6L) ps wide.
@@ -223,23 +268,51 @@ class TimerWheelQueue
     std::int64_t dueSlotAbs = -1;  ///< absolute level-0 slot of `due`, or -1
 
     TimePs currentTime = 0;
+    /** How far advanceIfIdle() may move now(): the limit of the
+     * runUntil()/runAll() in progress, or -1 (never) outside them, so
+     * one step() runs one event. */
+    TimePs inlineLimit = -1;
+    /** No live event is due before this time: set by idleThrough(),
+     * lowered by every schedule, so a chain of in-place edges re-proves
+     * idleness only when it reaches it. */
+    TimePs quietUntil = 0;
     std::uint64_t nextSeq = 1;
     std::size_t liveCount = 0;
     std::size_t peakLive = 0;
     std::size_t deadParked = 0;  ///< cancelled records still parked in cells
     std::uint64_t executedCount = 0;
+    std::uint64_t inlinedCount = 0;
     std::uint64_t cancelledCount = 0;
     std::uint64_t overflowCount = 0;
 
     static constexpr std::uint32_t kInvalidRecord = 0xffffffffu;
 
-    std::uint32_t allocRecord(TimePs when, EventFn &&fn);
+    void notePeak(std::size_t live)
+    {
+        if (live > peakLive)
+            peakLive = live;
+    }
+    std::uint32_t allocRecord(TimePs when, std::uint64_t seq, EventFn &&fn);
+    EventId handleOf(std::uint32_t idx) const
+    {
+        return (static_cast<EventId>(pool[idx].gen) << 32) |
+               static_cast<EventId>(idx + 1);
+    }
     void freeRecord(std::uint32_t idx);
     /** Park @p idx in the wheel, or return false if beyond the horizon. */
     bool placeInWheel(std::uint32_t idx, TimePs when);
     void place(std::uint32_t idx, TimePs when);
     /** First occupied absolute slot at @p level. @pre level non-empty. */
     std::int64_t nextOccupiedSlot(int level);
+    /**
+     * The occupied slot with the earliest start across all levels (on
+     * equal starts the highest level, whose slot must cascade before
+     * the finer one drains). Returns its level, or -1 if the wheel is
+     * empty.
+     */
+    int earliestSlot(std::int64_t &slot, TimePs &start);
+    /** Pop cancelled records off the overflow heap's top. */
+    void pruneOverflowTop();
     /** Move one higher-level slot's events down. */
     void cascade(int level, std::int64_t slotAbs);
     /** Move level-0 slot @p slotAbs into the due buffer. */
@@ -255,6 +328,18 @@ class TimerWheelQueue
     std::uint32_t takeNext();
     /** Return unconsumed due-buffer events to the wheel (for runUntil). */
     void unloadDue();
+    /**
+     * True if no live event is due at or before @p t; then also raises
+     * quietUntil to the earliest time anything could be due. Cascades
+     * and reclaims tombstones on the way, as ensureNext() would, but
+     * never commits a slot to the due buffer.
+     */
+    bool idleThrough(TimePs t);
+    /** True if no level-0 cell is occupied from the cursor up to, not
+     * including, absolute slot @p slot. */
+    bool level0ClearBefore(std::int64_t slot) const;
+    /** Run the detached record @p idx as the current event. */
+    void dispatch(std::uint32_t idx);
     void maybeSweep();
 };
 
@@ -283,14 +368,28 @@ class BinaryHeapQueue
         return schedule(currentTime + delay, std::move(fn));
     }
 
+    /** Reserve a FIFO position (see TimerWheelQueue::takeTicket()). */
+    Ticket takeTicket()
+    {
+        ++ticketsHeld;
+        notePeak();
+        return nextId++;
+    }
+
+    /** Schedule @p fn at @p when in the FIFO position of @p ticket. */
+    EventId scheduleTicket(TimePs when, Ticket ticket, EventFn fn);
+
+    /** Always false: the reference backend dispatches every event. */
+    bool advanceIfIdle(TimePs) { return false; }
+
     /** Cancel a previously scheduled event (tombstone; lazy reclaim). */
     void cancel(EventId id);
 
     /** True if no live events remain. */
-    bool empty() const { return liveIds.empty(); }
+    bool empty() const { return size() == 0; }
 
     /** Number of live (scheduled, uncancelled, unfired) events. */
-    std::size_t size() const { return liveIds.size(); }
+    std::size_t size() const { return liveIds.size() + ticketsHeld; }
 
     /** Run the single next event; false if the queue was empty. */
     bool step();
@@ -315,6 +414,8 @@ class BinaryHeapQueue
     std::uint64_t wheelOverflows() const { return 0; }
     /** Highest number of simultaneously live events seen. */
     std::size_t peakLiveEvents() const { return peakLive; }
+    /** Always 0: see advanceIfIdle(). */
+    std::uint64_t eventsInlined() const { return 0; }
 
   private:
     struct Entry {
@@ -333,12 +434,18 @@ class BinaryHeapQueue
 
     std::priority_queue<Entry, std::vector<Entry>, Later> heap;
     std::unordered_set<EventId> liveIds;
+    std::size_t ticketsHeld = 0;  ///< taken, not yet scheduled
     TimePs currentTime = 0;
     EventId nextId = 1;
     std::uint64_t executedCount = 0;
     std::uint64_t cancelledCount = 0;
     std::size_t peakLive = 0;
 
+    void notePeak()
+    {
+        if (size() > peakLive)
+            peakLive = size();
+    }
     /** Pop the next live entry, skipping tombstones. Returns false if empty. */
     bool popLive(Entry &out);
 };

@@ -295,6 +295,37 @@ TEST(Cloud, RemoteRankingOverLtlEndToEnd)
     EXPECT_GT(done_at, 0);
 }
 
+TEST(Cloud, ReplacedRemoteClientLeavesSuccessorRegistered)
+{
+    // Re-pointing a forwarder builds the new client before the old one
+    // is destroyed: the old client's teardown must not unregister the
+    // receive path its successor now owns.
+    EventQueue eq;
+    ConfigurableCloud cloud(eq, smallCloud());
+    const int client = 0, server = 4;
+    roles::RankingRole ranking(eq);
+    ASSERT_GE(cloud.shell(server).addRole(&ranking), 0);
+    roles::ForwarderRole forwarder;
+    ASSERT_GE(cloud.shell(client).addRole(&forwarder), 0);
+    auto request_ch = cloud.openLtl(client, server, fpga::kErPortRole0);
+    auto reply_ch = cloud.openLtl(server, client, forwarder.port());
+    auto connect = [&] {
+        return std::make_unique<roles::RemoteRankingClient>(
+            eq, cloud.shell(client), forwarder, request_ch.sendConn(),
+            reply_ch.sendConn());
+    };
+
+    auto old_client = connect();
+    auto new_client = connect();
+    old_client.reset();
+    int done_count = 0;
+    for (int i = 0; i < 5; ++i)
+        new_client->compute(200, [&] { ++done_count; });
+    eq.runUntil(sim::fromMicros(100000));
+    EXPECT_EQ(done_count, 5);
+    EXPECT_EQ(new_client->responsesReceived(), 5u);
+}
+
 TEST(Cloud, RemoteRankingComputesRealFeatures)
 {
     EventQueue eq;
