@@ -16,80 +16,108 @@ MetricsRegistry::~MetricsRegistry()
     stopSampling();
 }
 
-void
-MetricsRegistry::checkNewPath(const std::string &path, const char *kind) const
+std::string_view
+MetricsRegistry::intern(std::string_view path)
+{
+    if (path.size() > arenaLeft) {
+        // Chunks double from a small first one: few allocations for a
+        // large registry, little slack for the many small ones.
+        arenaChunk = std::max({std::size_t{256}, 2 * arenaChunk, path.size()});
+        arena.push_back(std::make_unique_for_overwrite<char[]>(arenaChunk));
+        arenaNext = arena.back().get();
+        arenaLeft = arenaChunk;
+    }
+    const std::string_view copy(arenaNext, path.size());
+    std::copy(path.begin(), path.end(), arenaNext);
+    arenaNext += path.size();
+    arenaLeft -= path.size();
+    return copy;
+}
+
+template <typename T>
+const T *
+MetricsRegistry::findAs(std::string_view path) const
+{
+    if (lastFound == nullptr || lastFound->first != path) {
+        const auto it = index.find(path);
+        if (it == index.end())
+            return nullptr;
+        lastFound = &*it;
+    }
+    return std::get_if<T>(&lastFound->second);
+}
+
+template <typename T, typename... Args>
+std::pair<T *, bool>
+MetricsRegistry::obtain(std::string_view path, Args &&...args)
 {
     if (path.empty())
         sim::panic("MetricsRegistry: empty metric path");
-    const bool taken =
-        (counters.count(path) && std::string_view(kind) != "counter") ||
-        (gauges.count(path) && std::string_view(kind) != "gauge") ||
-        (histograms.count(path) && std::string_view(kind) != "histogram") ||
-        (probes.count(path) && std::string_view(kind) != "probe");
-    if (taken)
+    auto it = index.lower_bound(path);
+    const bool fresh = it == index.end() || it->first != path;
+    if (fresh) {
+        it = index.emplace_hint(
+            it, std::piecewise_construct, std::forward_as_tuple(intern(path)),
+            std::forward_as_tuple(std::in_place_type<T>,
+                                  std::forward<Args>(args)...));
+        ++mutations;
+    }
+    T *metric = std::get_if<T>(&it->second);
+    if (metric == nullptr)
         sim::panicf("MetricsRegistry: path '", path,
                     "' already registered as a different metric kind");
+    lastFound = &*it;
+    return {metric, fresh};
 }
 
 sim::Counter &
 MetricsRegistry::counter(const std::string &path)
 {
-    auto it = counters.find(path);
-    if (it == counters.end()) {
-        checkNewPath(path, "counter");
-        it = counters.try_emplace(path, path).first;
-        ++mutations;
-    }
-    return it->second;
+    return *obtain<sim::Counter>(path).first;
 }
 
 Gauge &
 MetricsRegistry::gauge(const std::string &path)
 {
-    auto it = gauges.find(path);
-    if (it == gauges.end()) {
-        checkNewPath(path, "gauge");
-        it = gauges.try_emplace(path).first;
-        ++mutations;
-    }
-    return it->second;
+    return *obtain<Gauge>(path).first;
 }
 
 sim::LogHistogram &
 MetricsRegistry::histogram(const std::string &path, double min_value,
                            int bins_per_octave)
 {
-    auto it = histograms.find(path);
-    if (it == histograms.end()) {
-        checkNewPath(path, "histogram");
-        it = histograms.try_emplace(path, min_value, bins_per_octave).first;
-        ++mutations;
-    }
-    return it->second;
+    return *obtain<sim::LogHistogram>(path, min_value, bins_per_octave).first;
+}
+
+MetricsRegistry::Probe &
+MetricsRegistry::setProbe(const std::string &path, std::function<double()> fn)
+{
+    if (!fn)
+        sim::panicf("MetricsRegistry: null probe for '", path, "'");
+    auto [probe, fresh] = obtain<Probe>(path);
+    if (!fresh)
+        ++mutations;  // a replaced callback counts as a change too
+    probe->fn = std::move(fn);
+    return *probe;
 }
 
 void
 MetricsRegistry::registerProbe(const std::string &path,
                                std::function<double()> fn)
 {
-    if (!fn)
-        sim::panicf("MetricsRegistry: null probe for '", path, "'");
-    checkNewPath(path, "probe");
-    probes[path].fn = std::move(fn);
-    ++mutations;
+    setProbe(path, std::move(fn));
 }
 
 void
 MetricsRegistry::registerLateProbe(const std::string &path,
                                    std::function<double()> fn)
 {
-    registerProbe(path, std::move(fn));
+    Probe &probe = setProbe(path, std::move(fn));
     if (samplerTicks == 0)
         return;
     // Replay the zeros the sampler would have read: the time-average
     // then spans the same window, and the trace counter treats 0 as
     // already emitted.
-    Probe &probe = probes[path];
     probe.tw.update(firstSampleAt, 0.0);
     probe.everEmitted = samplerTrace != nullptr && samplerTrace->enabled();
     probe.lastEmitted = 0.0;
@@ -98,63 +126,52 @@ MetricsRegistry::registerLateProbe(const std::string &path,
 const sim::Counter *
 MetricsRegistry::findCounter(const std::string &path) const
 {
-    auto it = counters.find(path);
-    return it == counters.end() ? nullptr : &it->second;
+    return findAs<sim::Counter>(path);
 }
 
 const Gauge *
 MetricsRegistry::findGauge(const std::string &path) const
 {
-    auto it = gauges.find(path);
-    return it == gauges.end() ? nullptr : &it->second;
+    return findAs<Gauge>(path);
 }
 
 const sim::LogHistogram *
 MetricsRegistry::findHistogram(const std::string &path) const
 {
-    auto it = histograms.find(path);
-    return it == histograms.end() ? nullptr : &it->second;
+    return findAs<sim::LogHistogram>(path);
 }
 
 bool
 MetricsRegistry::hasProbe(const std::string &path) const
 {
-    return probes.count(path) != 0;
+    return findAs<Probe>(path) != nullptr;
 }
 
 double
 MetricsRegistry::probeValue(const std::string &path) const
 {
-    auto it = probes.find(path);
-    if (it == probes.end())
+    const Probe *probe = findAs<Probe>(path);
+    if (probe == nullptr)
         sim::panicf("MetricsRegistry: no probe at '", path, "'");
-    return it->second.fn();
+    return probe->fn();
 }
 
 double
 MetricsRegistry::probeTimeAverage(const std::string &path) const
 {
-    auto it = probes.find(path);
-    if (it == probes.end())
+    const Probe *probe = findAs<Probe>(path);
+    if (probe == nullptr)
         sim::panicf("MetricsRegistry: no probe at '", path, "'");
-    return it->second.tw.average();
+    return probe->tw.average();
 }
 
 std::vector<std::string>
 MetricsRegistry::paths() const
 {
     std::vector<std::string> all;
-    all.reserve(counters.size() + gauges.size() + histograms.size() +
-                probes.size());
-    for (const auto &[p, _] : counters)
-        all.push_back(p);
-    for (const auto &[p, _] : gauges)
-        all.push_back(p);
-    for (const auto &[p, _] : histograms)
-        all.push_back(p);
-    for (const auto &[p, _] : probes)
-        all.push_back(p);
-    std::sort(all.begin(), all.end());
+    all.reserve(index.size());
+    for (const auto &[path, metric] : index)
+        all.emplace_back(path);
     return all;
 }
 
@@ -163,12 +180,10 @@ MetricsRegistry::children(const std::string &prefix) const
 {
     const std::string want = prefix.empty() ? "" : prefix + ".";
     std::vector<std::string> kids;
-    for (const auto &path : paths()) {
-        if (path.size() <= want.size() ||
-            path.compare(0, want.size(), want) != 0)
-            continue;
-        const auto rest = path.substr(want.size());
-        kids.push_back(rest.substr(0, rest.find('.')));
+    for (auto it = index.upper_bound(want);
+         it != index.end() && it->first.starts_with(want); ++it) {
+        const std::string_view rest = it->first.substr(want.size());
+        kids.emplace_back(rest.substr(0, rest.find('.')));
     }
     std::sort(kids.begin(), kids.end());
     kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
@@ -181,28 +196,33 @@ MetricsRegistry::writeSnapshot(std::ostream &os) const
     writeMergedSnapshot(os, {this});
 }
 
-namespace {
-
-/**
- * Merge the @p kind maps of several registries into one sorted view,
- * panicking on a duplicate path (components must shard disjointly).
- */
-template <typename Map>
-std::map<std::string, const typename Map::mapped_type *>
-mergeMaps(const std::vector<const Map *> &maps, const char *kind)
+template <typename T>
+std::vector<std::pair<std::string_view, const T *>>
+MetricsRegistry::mergeKind(const std::vector<const MetricsRegistry *> &regs,
+                           const char *kind)
 {
-    std::map<std::string, const typename Map::mapped_type *> merged;
-    for (const Map *m : maps) {
-        for (const auto &[path, v] : *m) {
-            if (!merged.emplace(path, &v).second)
-                sim::panicf("MetricsRegistry: ", kind, " path '", path,
-                            "' registered in more than one shard");
+    std::vector<std::pair<std::string_view, const T *>> merged;
+    for (const MetricsRegistry *r : regs) {
+        for (const auto &[path, metric] : r->index) {
+            if (const T *m = std::get_if<T>(&metric))
+                merged.emplace_back(path, m);
         }
+    }
+    // Each registry's run is already sorted; one registry needs no sort.
+    if (regs.size() > 1) {
+        const auto byPath = [](const auto &a, const auto &b) {
+            return a.first < b.first;
+        };
+        std::sort(merged.begin(), merged.end(), byPath);
+        const auto dup = std::adjacent_find(
+            merged.begin(), merged.end(),
+            [](const auto &a, const auto &b) { return a.first == b.first; });
+        if (dup != merged.end())
+            sim::panicf("MetricsRegistry: ", kind, " path '", dup->first,
+                        "' registered in more than one shard");
     }
     return merged;
 }
-
-}  // namespace
 
 void
 MetricsRegistry::writeMergedSnapshot(
@@ -211,7 +231,7 @@ MetricsRegistry::writeMergedSnapshot(
     using detail::jsonEscape;
     using detail::jsonNumber;
 
-    auto key = [&os](const std::string &path, bool &first) {
+    auto key = [&os](std::string_view path, bool &first) {
         if (!first)
             os << ",";
         first = false;
@@ -220,26 +240,15 @@ MetricsRegistry::writeMergedSnapshot(
         os << "\":";
     };
 
-    std::vector<const std::map<std::string, sim::Counter> *> cmaps;
-    std::vector<const std::map<std::string, Gauge> *> gmaps;
-    std::vector<const std::map<std::string, sim::LogHistogram> *> hmaps;
-    std::vector<const std::map<std::string, Probe> *> pmaps;
-    for (const MetricsRegistry *r : regs) {
-        cmaps.push_back(&r->counters);
-        gmaps.push_back(&r->gauges);
-        hmaps.push_back(&r->histograms);
-        pmaps.push_back(&r->probes);
-    }
-
     os << "{\"counters\":{";
     bool first = true;
-    for (const auto &[path, c] : mergeMaps(cmaps, "counter")) {
+    for (const auto &[path, c] : mergeKind<sim::Counter>(regs, "counter")) {
         key(path, first);
         os << c->get();
     }
     os << "},\"gauges\":{";
     first = true;
-    for (const auto &[path, g] : mergeMaps(gmaps, "gauge")) {
+    for (const auto &[path, g] : mergeKind<Gauge>(regs, "gauge")) {
         key(path, first);
         os << "{\"value\":";
         jsonNumber(os, g->value());
@@ -251,7 +260,8 @@ MetricsRegistry::writeMergedSnapshot(
     }
     os << "},\"histograms\":{";
     first = true;
-    for (const auto &[path, h] : mergeMaps(hmaps, "histogram")) {
+    for (const auto &[path, h] :
+         mergeKind<sim::LogHistogram>(regs, "histogram")) {
         key(path, first);
         os << "{\"count\":" << h->count();
         if (h->count() > 0) {
@@ -274,7 +284,7 @@ MetricsRegistry::writeMergedSnapshot(
     }
     os << "},\"probes\":{";
     first = true;
-    for (const auto &[path, pr] : mergeMaps(pmaps, "probe")) {
+    for (const auto &[path, pr] : mergeKind<Probe>(regs, "probe")) {
         key(path, first);
         os << "{\"value\":";
         jsonNumber(os, pr->fn());
@@ -347,16 +357,18 @@ MetricsRegistry::sampleAt(sim::TimePs now)
     if (samplerTicks++ == 0)
         firstSampleAt = now;
     const bool tracing = samplerTrace != nullptr && samplerTrace->enabled();
-    for (auto &[path, probe] : probes) {
-        const double v = probe.fn();
-        probe.tw.update(now, v);
-        if (tracing && (!probe.everEmitted || v != probe.lastEmitted)) {
+    for (auto &[path, metric] : index) {
+        Probe *probe = std::get_if<Probe>(&metric);
+        if (probe == nullptr)
+            continue;
+        const double v = probe->fn();
+        probe->tw.update(now, v);
+        if (tracing && (!probe->everEmitted || v != probe->lastEmitted)) {
             // Category = first dotted segment (component family).
             const auto dot = path.find('.');
-            samplerTrace->counter(
-                std::string_view(path).substr(0, dot), path, now, v);
-            probe.everEmitted = true;
-            probe.lastEmitted = v;
+            samplerTrace->counter(path.substr(0, dot), path, now, v);
+            probe->everEmitted = true;
+            probe->lastEmitted = v;
         }
     }
 }

@@ -31,8 +31,12 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/flow_trace.hpp"
@@ -72,8 +76,9 @@ inline constexpr double kDefaultHistMinValue = 0.5;
 inline constexpr int kDefaultHistBinsPerOctave = 96;
 
 /**
- * The hierarchical metrics registry. Not thread-safe (one registry per
- * simulation, like the EventQueue).
+ * The hierarchical metrics registry. Not thread-safe, lookups included
+ * (they update a one-entry memo): one registry per simulation or shard,
+ * used by one thread at a time, like the EventQueue.
  */
 class MetricsRegistry
 {
@@ -223,10 +228,19 @@ class MetricsRegistry
         bool everEmitted = false;
     };
 
-    std::map<std::string, sim::Counter> counters;
-    std::map<std::string, Gauge> gauges;
-    std::map<std::string, sim::LogHistogram> histograms;
-    std::map<std::string, Probe> probes;
+    using Metric = std::variant<sim::Counter, Gauge, sim::LogHistogram, Probe>;
+    /** Every metric of every kind, ordered by path. Keys view the arena. */
+    using Index = std::map<std::string_view, Metric>;
+
+    /** Append-only path bytes; chunks never move, sizes double. */
+    std::vector<std::unique_ptr<char[]>> arena;
+    char *arenaNext = nullptr;
+    std::size_t arenaLeft = 0;
+    std::size_t arenaChunk = 0;  ///< size of the newest chunk
+    Index index;
+    /** The entry the last lookup found: classifying one path through
+     * findCounter(), findGauge(), ... walks the tree once. */
+    mutable const Index::value_type *lastFound = nullptr;
     std::uint64_t mutations = 0;
 
     sim::EventQueue *samplerQueue = nullptr;
@@ -236,7 +250,25 @@ class MetricsRegistry
     std::uint64_t samplerTicks = 0;
     sim::TimePs firstSampleAt = 0;  ///< time of the first sampling tick
 
-    void checkNewPath(const std::string &path, const char *kind) const;
+    /** A copy of @p path in the arena. */
+    std::string_view intern(std::string_view path);
+    /** The @p T metric at @p path, or null. */
+    template <typename T>
+    const T *findAs(std::string_view path) const;
+    /**
+     * The @p T metric at @p path, created from @p args if the path is
+     * new (then `.second` is true); panics if the path holds another
+     * kind.
+     */
+    template <typename T, typename... Args>
+    std::pair<T *, bool> obtain(std::string_view path, Args &&...args);
+    Probe &setProbe(const std::string &path, std::function<double()> fn);
+    /** The @p T metrics of @p regs as one path-sorted list; panics on a
+     * path held by more than one registry. */
+    template <typename T>
+    static std::vector<std::pair<std::string_view, const T *>>
+    mergeKind(const std::vector<const MetricsRegistry *> &regs,
+              const char *kind);
     void scheduleTick();
     void sampleTick();
 };

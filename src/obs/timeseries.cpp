@@ -137,17 +137,48 @@ globMatch(std::string_view pattern, std::string_view path)
 }  // namespace
 
 void
-TimeSeriesHub::Ring::push(const TsPoint &p)
+TimeSeriesHub::Ring::push(const TsPoint &p, bool histogram)
 {
-    if (buf.size() < cap) {
-        buf.push_back(p);
-        head = buf.size() % cap;
-        used = buf.size();
+    const ScalarPoint sp{p.t, p.value, p.delta};
+    const HistogramStats hs{p.count, p.mean, p.p50, p.p90, p.p99, p.p999};
+    if (used < cap) {
+        // Grow by an eighth rather than doubling: a run that stops short
+        // of the capacity then leaves little unused space in each ring.
+        if (used == scalar.capacity()) {
+            const std::size_t grown = std::min(cap, used + used / 8 + 4);
+            scalar.reserve(grown);
+            if (histogram)
+                hist.reserve(grown);
+        }
+        scalar.push_back(sp);
+        if (histogram)
+            hist.push_back(hs);
+        head = ++used % cap;
         return;
     }
-    buf[head] = p;
+    scalar[head] = sp;
+    if (histogram)
+        hist[head] = hs;
     head = (head + 1) % cap;
-    used = cap;
+}
+
+TsPoint
+TimeSeriesHub::Ring::at(std::size_t i) const
+{
+    const std::size_t k = (used < cap ? i : head + i) % cap;
+    TsPoint p;
+    p.t = scalar[k].t;
+    p.value = scalar[k].value;
+    p.delta = scalar[k].delta;
+    if (!hist.empty()) {
+        p.count = hist[k].count;
+        p.mean = hist[k].mean;
+        p.p50 = hist[k].p50;
+        p.p90 = hist[k].p90;
+        p.p99 = hist[k].p99;
+        p.p999 = hist[k].p999;
+    }
+    return p;
 }
 
 TimeSeriesHub::TimeSeriesHub(TimeSeriesConfig c) : cfg(std::move(c))
@@ -195,10 +226,16 @@ TimeSeriesHub::defineAggregate(const std::string &name,
         sim::fatal("TimeSeriesHub::defineAggregate: duplicate aggregate");
     Aggregate agg;
     agg.pattern = pattern;
-    agg.levels.resize(cfg.levels.size());
-    for (std::size_t i = 0; i < cfg.levels.size(); ++i)
-        agg.levels[i].ring.cap = cfg.levels[i].capacity;
+    initLevels(agg);
     aggregates.emplace(name, std::move(agg));
+}
+
+void
+TimeSeriesHub::initLevels(Track &track) const
+{
+    track.levels.resize(cfg.levels.size());
+    for (std::size_t i = 0; i < cfg.levels.size(); ++i)
+        track.levels[i].ring.cap = cfg.levels[i].capacity;
 }
 
 void
@@ -302,9 +339,7 @@ TimeSeriesHub::discover()
             } else {
                 continue;  // unknown kind (future registry extension)
             }
-            s.levels.resize(cfg.levels.size());
-            for (std::size_t i = 0; i < cfg.levels.size(); ++i)
-                s.levels[i].ring.cap = cfg.levels[i].capacity;
+            initLevels(s);
             announceSeries(path, s.kind);
             series.emplace(path, std::move(s));
         }
@@ -428,7 +463,7 @@ TimeSeriesHub::rollSeries(const std::string &name, Series &s, sim::TimePs now)
             break;
         }
         }
-        lv.ring.push(p);
+        keep(s, i, p);
     }
 }
 
@@ -505,8 +540,16 @@ TimeSeriesHub::rollAggregate(const std::string &name, Aggregate &agg,
             if (agg.kind != SeriesKind::kGauge)
                 p.rate = p.delta / span;
         }
-        lv.ring.push(p);
+        keep(agg, i, p);
     }
+}
+
+void
+TimeSeriesHub::keep(Track &track, std::size_t level, const TsPoint &p)
+{
+    if (level == 0)
+        track.newest = p;
+    track.levels[level].ring.push(p, track.kind == SeriesKind::kHistogram);
 }
 
 void
@@ -580,9 +623,8 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
     // series appear in one global sorted order.
     auto si = series.cbegin();
     auto ai = aggregates.cbegin();
-    auto emit = [&](const std::string &name, SeriesKind kind,
-                    const LevelState &lv) {
-        const TsPoint *p = lv.ring.latestPoint();
+    auto emit = [&](const std::string &name, const Track &track) {
+        const TsPoint *p = track.newestPoint();
         if (p == nullptr || p->t != now)
             return;
         if (!first)
@@ -591,16 +633,16 @@ TimeSeriesHub::exportWindow(sim::TimePs now)
         line << "\"";
         detail::jsonEscape(line, name);
         line << "\":";
-        pointTo(line, kind, *p);
+        pointTo(line, track.kind, *p);
     };
     while (si != series.cend() || ai != aggregates.cend()) {
         if (ai == aggregates.cend() ||
             (si != series.cend() && si->first < ai->first)) {
-            emit(si->first, si->second.kind, si->second.levels.front());
+            emit(si->first, si->second);
             ++si;
         } else {
             if (!ai->second.members.empty())
-                emit(ai->first, ai->second.kind, ai->second.levels.front());
+                emit(ai->first, ai->second);
             ++ai;
         }
     }
@@ -613,13 +655,12 @@ TimeSeriesHub::traceWindow(sim::TimePs now)
 {
     if (trace == nullptr || !trace->enabled())
         return;
-    auto emit = [&](const std::string &name, SeriesKind kind,
-                    const LevelState &lv) {
-        const TsPoint *lp = lv.ring.latestPoint();
+    auto emit = [&](const std::string &name, const Track &track) {
+        const TsPoint *lp = track.newestPoint();
         if (lp == nullptr || lp->t != now)
             return;
         const TsPoint p = *lp;
-        switch (kind) {
+        switch (track.kind) {
         case SeriesKind::kGauge:
             trace->counter("ts", "ts." + name, now, p.value);
             break;
@@ -634,10 +675,10 @@ TimeSeriesHub::traceWindow(sim::TimePs now)
         }
     };
     for (const auto &[name, s] : series)
-        emit(name, s.kind, s.levels.front());
+        emit(name, s);
     for (const auto &[name, agg] : aggregates) {
         if (!agg.members.empty())
-            emit(name, agg.kind, agg.levels.front());
+            emit(name, agg);
     }
 }
 
@@ -726,12 +767,11 @@ TimeSeriesHub::kindOf(const std::string &name) const
 const TsPoint *
 TimeSeriesHub::latest(const std::string &name) const
 {
-    const LevelState *lv = nullptr;
     if (auto it = series.find(name); it != series.end())
-        lv = &it->second.levels.front();
-    else if (auto ia = aggregates.find(name); ia != aggregates.end())
-        lv = &ia->second.levels.front();
-    return lv == nullptr ? nullptr : lv->ring.latestPoint();
+        return it->second.newestPoint();
+    if (auto ia = aggregates.find(name); ia != aggregates.end())
+        return ia->second.newestPoint();
+    return nullptr;
 }
 
 std::vector<TsPoint>
@@ -739,19 +779,26 @@ TimeSeriesHub::history(const std::string &name, int level) const
 {
     if (level < 0 || static_cast<std::size_t>(level) >= cfg.levels.size())
         sim::panicf("TimeSeriesHub::history: level ", level, " out of range");
-    const std::vector<LevelState> *levels = nullptr;
+    const Track *track = nullptr;
     if (auto it = series.find(name); it != series.end())
-        levels = &it->second.levels;
+        track = &it->second;
     else if (auto ia = aggregates.find(name); ia != aggregates.end())
-        levels = &ia->second.levels;
+        track = &ia->second;
     else
         sim::panicf("TimeSeriesHub::history: unknown series ", name);
-    const Ring &r = (*levels)[static_cast<std::size_t>(level)].ring;
+    const auto lv = static_cast<std::size_t>(level);
+    const Ring &r = track->levels[lv].ring;
+    // Every kind but a gauge has rate = delta per second of the level's
+    // window (rollSeries, rollAggregate), so rings do not store it.
+    const double span = spanSeconds(cfg.levels[lv].stride, cfg.window);
     std::vector<TsPoint> outv;
     outv.reserve(r.used);
-    const std::size_t start = r.used < r.cap ? 0 : r.head;
-    for (std::size_t i = 0; i < r.used; ++i)
-        outv.push_back(r.buf[(start + i) % r.buf.size()]);
+    for (std::size_t i = 0; i < r.used; ++i) {
+        TsPoint p = r.at(i);
+        if (track->kind != SeriesKind::kGauge)
+            p.rate = p.delta / span;
+        outv.push_back(p);
+    }
     return outv;
 }
 

@@ -310,20 +310,37 @@ class TimeSeriesHub
     static std::string envPath();
 
   private:
-    /** Fixed-capacity ring of points. */
+    /** The fields every point stores: all of a scalar point but its
+     * rate, which history() recomputes from the delta. */
+    struct ScalarPoint {
+        sim::TimePs t;
+        double value;
+        double delta;
+    };
+    /** The fields only histogram points have. */
+    struct HistogramStats {
+        std::uint64_t count;
+        double mean;
+        double p50;
+        double p90;
+        double p99;
+        double p999;
+    };
+
+    /**
+     * Fixed-capacity ring of points. Histogram fields live in a parallel
+     * buffer that only histogram series fill.
+     */
     struct Ring {
-        std::vector<TsPoint> buf;
+        std::vector<ScalarPoint> scalar;
+        std::vector<HistogramStats> hist;
         std::size_t head = 0;  ///< next write slot once full
         std::size_t used = 0;
         std::size_t cap = 0;
 
-        void push(const TsPoint &p);
-        const TsPoint *latestPoint() const
-        {
-            if (used == 0)
-                return nullptr;
-            return &buf[(head + buf.size() - 1) % buf.size()];
-        }
+        void push(const TsPoint &p, bool histogram);
+        /** The @p i-th oldest point, without its rate. */
+        TsPoint at(std::size_t i) const;
     };
 
     /** Per-level rollup state of one series. */
@@ -334,25 +351,34 @@ class TimeSeriesHub
         Ring ring;
     };
 
-    /** One concrete series bound to a registry metric. */
-    struct Series {
+    /** The retained points of one concrete or aggregate series. */
+    struct Track {
         SeriesKind kind = SeriesKind::kCounter;
+        std::vector<LevelState> levels;
+        TsPoint newest;  ///< level 0's newest point, whole, for latest()
+
+        /** Level 0's newest point, or null before the first. */
+        const TsPoint *newestPoint() const
+        {
+            return levels.front().ring.used == 0 ? nullptr : &newest;
+        }
+    };
+
+    /** One concrete series bound to a registry metric. */
+    struct Series : Track {
         const sim::Counter *counter = nullptr;
         const Gauge *gauge = nullptr;
         const sim::LogHistogram *hist = nullptr;
         const MetricsRegistry *reg = nullptr;  ///< probe owner
-        std::vector<LevelState> levels;
     };
 
     /** One derived series merging pattern-matched members. */
-    struct Aggregate {
+    struct Aggregate : Track {
         std::string pattern;
-        SeriesKind kind = SeriesKind::kCounter;
         std::vector<const Series *> members;
         std::vector<std::string> memberNames;
         std::size_t seenSeries = 0;  ///< concrete count at last refresh
         bool announced = false;
-        std::vector<LevelState> levels;
     };
 
     TimeSeriesConfig cfg;
@@ -377,9 +403,11 @@ class TimeSeriesHub
     void discover();
     void refreshAggregate(const std::string &name, Aggregate &agg);
     void announceSeries(const std::string &name, SeriesKind kind);
+    void initLevels(Track &track) const;
     void rollSeries(const std::string &name, Series &s, sim::TimePs now);
     void rollAggregate(const std::string &name, Aggregate &agg,
                        sim::TimePs now);
+    static void keep(Track &track, std::size_t level, const TsPoint &p);
     TsPoint scalarPoint(sim::TimePs now, double cur, LevelState &lv) const;
     void exportWindow(sim::TimePs now);
     void traceWindow(sim::TimePs now);

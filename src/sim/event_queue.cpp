@@ -58,37 +58,70 @@ TimerWheelQueue::freeRecord(std::uint32_t idx)
     freeList.push_back(idx);
 }
 
+void
+TimerWheelQueue::slideCursor(int level, std::int64_t base)
+{
+    if (occupied[level] != 0) {
+        const std::uint64_t rot =
+            ror64(occupied[level],
+                  static_cast<unsigned>(cursor[level] & (kSlots - 1)));
+        const std::int64_t lo = cursor[level] + std::countr_zero(rot);
+        const std::int64_t hi =
+            cursor[level] + (kSlots - 1) - std::countl_zero(rot);
+        if (lo < base || hi >= base + kSlots)
+            return;
+    }
+    cursor[level] = base;
+}
+
+bool
+TimerWheelQueue::parkAt(int level, std::uint32_t idx, TimePs when)
+{
+    const std::int64_t slot = when >> shiftOf(level);
+    const std::int64_t d = slot - cursor[level];
+    if (d < 0 || d >= kSlots)
+        return false;
+    cells[level][slot & (kSlots - 1)].push_back(idx);
+    occupied[level] |= std::uint64_t{1} << (slot & (kSlots - 1));
+    return true;
+}
+
 bool
 TimerWheelQueue::placeInWheel(std::uint32_t idx, TimePs when)
 {
     for (int level = 0; level < kLevels; ++level) {
         const int sh = shiftOf(level);
-        if (occupied[level] == 0) {
-            // Empty level: a stale cursor can only shrink the usable
-            // window, so pull it up to the current time for free.
-            const std::int64_t nowSlot = currentTime >> sh;
-            if (cursor[level] < nowSlot)
-                cursor[level] = nowSlot;
-        }
-        const std::int64_t slot = when >> sh;
-        const std::int64_t d = slot - cursor[level];
-        if (d >= 0 && d < kSlots) {
-            cells[level][slot & (kSlots - 1)].push_back(idx);
-            occupied[level] |= std::uint64_t{1} << (slot & (kSlots - 1));
+        // A cursor may sit ahead of now() (a cascade looked ahead) or
+        // behind it (an empty level went stale). Move it to now()'s
+        // slot when the event would miss the window otherwise, as long
+        // as every occupied slot still fits. Level 0 stays at a
+        // committed due slot: arrivals before it would bypass the due
+        // buffer's ordering.
+        std::int64_t base = currentTime >> sh;
+        if (level == 0 && dueSlotAbs > base)
+            base = dueSlotAbs;
+        if ((when >> sh) < cursor[level] ||
+            (occupied[level] == 0 && cursor[level] < base))
+            slideCursor(level, base);
+        if (parkAt(level, idx, when))
             return true;
-        }
     }
     return false;
 }
 
 void
-TimerWheelQueue::place(std::uint32_t idx, TimePs when)
+TimerWheelQueue::parkFar(std::uint32_t idx)
 {
-    if (placeInWheel(idx, when))
-        return;
-    overflow.push_back(FarEvent{when, pool[idx].seq, idx});
+    overflow.push_back(FarEvent{pool[idx].when, pool[idx].seq, idx});
     std::push_heap(overflow.begin(), overflow.end(), FarLater{});
     ++overflowCount;
+}
+
+void
+TimerWheelQueue::place(std::uint32_t idx, TimePs when)
+{
+    if (!placeInWheel(idx, when))
+        parkFar(idx);
 }
 
 std::int64_t
@@ -134,26 +167,19 @@ TimerWheelQueue::pruneOverflowTop()
 void
 TimerWheelQueue::cascade(int level, std::int64_t slotAbs)
 {
-    auto &cell = cells[level][slotAbs & (kSlots - 1)];
-    std::vector<std::uint32_t> moved;
-    moved.swap(cell);
+    // Re-parking never cascades, so one scratch vector serves every call.
+    cascadeScratch.swap(cells[level][slotAbs & (kSlots - 1)]);
     occupied[level] &= ~(std::uint64_t{1} << (slotAbs & (kSlots - 1)));
 
     const TimePs slotStart = static_cast<TimePs>(slotAbs)
                              << shiftOf(level);
     // S is the global minimum slot start across all levels, so no
-    // occupied cell below `level` starts before it: raising empty-level
-    // cursors to it cannot orphan anything and guarantees the moved
+    // occupied cell below `level` starts before it: moving lower-level
+    // cursors to it (where their occupied slots allow) lets the moved
     // events fit a lower level on the common path.
-    for (int l = 0; l < level; ++l) {
-        if (occupied[l] == 0) {
-            const std::int64_t base =
-                std::max(slotStart, currentTime) >> shiftOf(l);
-            if (cursor[l] < base)
-                cursor[l] = base;
-        }
-    }
-    for (std::uint32_t idx : moved) {
+    for (int l = 0; l < level; ++l)
+        slideCursor(l, std::max(slotStart, currentTime) >> shiftOf(l));
+    for (std::uint32_t idx : cascadeScratch) {
         Record &r = pool[idx];
         if (r.state == SlotState::kDead) {
             freeRecord(idx);
@@ -161,31 +187,15 @@ TimerWheelQueue::cascade(int level, std::int64_t slotAbs)
             continue;
         }
         // Re-park strictly below `level` (re-parking at the same level
-        // would loop). A stale-cursor miss falls through to the
-        // overflow heap, which the take path orders correctly.
+        // would loop). A miss falls through to the overflow heap, which
+        // the take path orders correctly.
         bool placed = false;
-        for (int l = 0; l < level; ++l) {
-            const int sh = shiftOf(l);
-            if (occupied[l] == 0) {
-                const std::int64_t nowSlot = currentTime >> sh;
-                if (cursor[l] < nowSlot)
-                    cursor[l] = nowSlot;
-            }
-            const std::int64_t slot = r.when >> sh;
-            const std::int64_t d = slot - cursor[l];
-            if (d >= 0 && d < kSlots) {
-                cells[l][slot & (kSlots - 1)].push_back(idx);
-                occupied[l] |= std::uint64_t{1} << (slot & (kSlots - 1));
-                placed = true;
-                break;
-            }
-        }
-        if (!placed) {
-            overflow.push_back(FarEvent{r.when, r.seq, idx});
-            std::push_heap(overflow.begin(), overflow.end(), FarLater{});
-            ++overflowCount;
-        }
+        for (int l = 0; l < level && !placed; ++l)
+            placed = parkAt(l, idx, r.when);
+        if (!placed)
+            parkFar(idx);
     }
+    cascadeScratch.clear();
 }
 
 void

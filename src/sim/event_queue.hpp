@@ -251,6 +251,7 @@ class TimerWheelQueue
     std::uint64_t occupied[kLevels] = {};  ///< bit s: cells[L][s] non-empty
     std::int64_t cursor[kLevels] = {};     ///< absolute slot number per level
     std::vector<FarEvent> overflow;        ///< min-heap by (when, seq)
+    std::vector<std::uint32_t> cascadeScratch;  ///< cascade()'s moved cell
 
     /**
      * The slot currently being drained, as packed (when, seq, idx)
@@ -301,6 +302,13 @@ class TimerWheelQueue
     void freeRecord(std::uint32_t idx);
     /** Park @p idx in the wheel, or return false if beyond the horizon. */
     bool placeInWheel(std::uint32_t idx, TimePs when);
+    /** Move @p level's cursor to absolute slot @p base if every occupied
+     * slot of the level lies in [base, base + kSlots). */
+    void slideCursor(int level, std::int64_t base);
+    /** Park @p idx at @p level if @p when falls in its cursor window. */
+    bool parkAt(int level, std::uint32_t idx, TimePs when);
+    /** Park @p idx in the overflow heap. */
+    void parkFar(std::uint32_t idx);
     void place(std::uint32_t idx, TimePs when);
     /** First occupied absolute slot at @p level. @pre level non-empty. */
     std::int64_t nextOccupiedSlot(int level);

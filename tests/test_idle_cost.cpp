@@ -11,15 +11,20 @@
  *  - an LTL engine's connection table allocates nothing per idle entry;
  *  - an idle net::Link allocates a fixed, small number of blocks;
  *  - a paper-scale lazy fabric with a FaultInjector attached registers
- *    per-server fault probes only for servers that were impaired.
+ *    per-server fault probes only for servers that were impaired;
+ *  - a registry path costs one tree node plus its share of a path
+ *    arena, and looking a path up allocates nothing.
  */
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
+#include <vector>
 
 #include "core/cloud.hpp"
 #include "fault/fault.hpp"
@@ -135,4 +140,38 @@ TEST(IdleCost, PaperScaleFabricRegistersProbesOnlyForImpairedServers)
     constexpr std::size_t kPathBudget = 200000;
     EXPECT_LT(hub.registry.paths().size(), kPathBudget);
     EXPECT_FALSE(hub.registry.hasProbe("fault.node0.down"));
+}
+
+TEST(IdleCost, RegistryPathCostsOneNodeAndLookupsAllocateNothing)
+{
+    // Paths longer than the small-string buffer, as at paper scale
+    // ("fault.node123456.down"): a string key per path would double the
+    // count.
+    constexpr std::size_t kProbes = 4096;
+    std::vector<std::string> paths;
+    for (std::size_t i = 0; i < kProbes; ++i)
+        paths.push_back("fault.node" + std::to_string(i) + ".link_down");
+    obs::MetricsRegistry reg;
+    const std::uint64_t registering = allocationsDuring([&] {
+        for (const std::string &p : paths)
+            reg.registerProbe(p, [] { return 0.0; });
+    });
+    EXPECT_LE(registering, kProbes + 3 * std::bit_width(kProbes));
+
+    const std::string absent = "fault.node999999.link_down";
+    double sum = 0.0;
+    const std::uint64_t looking = allocationsDuring([&] {
+        for (const std::string &p : paths) {
+            // The classification chain a time-series hub runs per path.
+            if (reg.findCounter(p) || reg.findGauge(p) ||
+                reg.findHistogram(p) || !reg.hasProbe(p))
+                sum += 1.0;
+            sum += reg.probeValue(p);
+            sum += reg.probeTimeAverage(p);
+        }
+        if (reg.findCounter(absent) || reg.hasProbe(absent))
+            sum += 1.0;
+    });
+    EXPECT_EQ(looking, 0u);
+    EXPECT_EQ(sum, 0.0);
 }

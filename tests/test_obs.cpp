@@ -14,13 +14,17 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/cloud.hpp"
+#include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/random.hpp"
 
 namespace {
 
@@ -297,6 +301,292 @@ TEST(MetricsRegistryDeathTest, CrossKindPathCollisionPanics)
     EXPECT_DEATH(reg.registerProbe("ltl.node0.frames_sent",
                                    [] { return 0.0; }),
                  "different metric kind");
+}
+
+TEST(MetricsRegistryDeathTest, EveryEntryPointRejectsAnotherKind)
+{
+    MetricsRegistry reg;
+    reg.counter("c");
+    reg.gauge("g");
+    reg.histogram("h");
+    reg.registerProbe("p", [] { return 0.0; });
+    const auto probe = [] { return 1.0; };
+    for (const char *taken : {"c", "g", "h", "p"}) {
+        const std::string path = taken;
+        if (path != "c") {
+            EXPECT_DEATH(reg.counter(path), "different metric kind") << path;
+        }
+        if (path != "g") {
+            EXPECT_DEATH(reg.gauge(path), "different metric kind") << path;
+        }
+        if (path != "h") {
+            EXPECT_DEATH(reg.histogram(path), "different metric kind")
+                << path;
+        }
+        if (path != "p") {
+            EXPECT_DEATH(reg.registerProbe(path, probe),
+                         "different metric kind")
+                << path;
+            EXPECT_DEATH(reg.registerLateProbe(path, probe),
+                         "different metric kind")
+                << path;
+        }
+    }
+    EXPECT_DEATH(reg.counter(""), "empty metric path");
+}
+
+TEST(MetricsRegistryDeathTest, MergedSnapshotRejectsAPathInTwoRegistries)
+{
+    MetricsRegistry a, b;
+    a.counter("ltl.node0.frames_sent");
+    a.gauge("x.depth");
+    b.gauge("x.depth");
+    EXPECT_DEATH(MetricsRegistry::mergedSnapshotJson({&a, &b}),
+                 "gauge path 'x.depth' registered in more than one shard");
+}
+
+// ---------------------------------------------------------------------------
+// Randomized registry against a std::map oracle.
+// ---------------------------------------------------------------------------
+
+/** What the oracle keeps per path: the same metric objects, driven alike. */
+using OracleMetric =
+    std::variant<sim::Counter, obs::Gauge, sim::LogHistogram, double>;
+
+struct OracleProbe {
+    double value = 0.0;
+    sim::TimeWeighted tw;
+};
+
+struct RegistryOracle {
+    std::map<std::string, OracleMetric> metrics;  ///< double = probe
+    std::map<std::string, OracleProbe> probes;
+    std::uint64_t version = 0;
+};
+
+/** writeSnapshot()'s format, built from @p oracles (merged). */
+std::string
+oracleSnapshot(const std::vector<const RegistryOracle *> &oracles)
+{
+    using obs::detail::jsonEscape;
+    using obs::detail::jsonNumber;
+    std::map<std::string, const OracleMetric *> all;
+    std::map<std::string, const OracleProbe *> probes;
+    for (const RegistryOracle *o : oracles) {
+        for (const auto &[path, m] : o->metrics)
+            all.emplace(path, &m);
+        for (const auto &[path, p] : o->probes)
+            probes.emplace(path, &p);
+    }
+    std::ostringstream os;
+    auto section = [&](std::size_t kind, auto &&value) {
+        bool first = true;
+        for (const auto &[path, m] : all) {
+            if (m->index() != kind)
+                continue;
+            os << (first ? "\"" : ",\"");
+            first = false;
+            jsonEscape(os, path);
+            os << "\":";
+            value(path, *m);
+        }
+    };
+    os << "{\"counters\":{";
+    section(0, [&](const std::string &, const OracleMetric &m) {
+        os << std::get<sim::Counter>(m).get();
+    });
+    os << "},\"gauges\":{";
+    section(1, [&](const std::string &, const OracleMetric &m) {
+        const auto &g = std::get<obs::Gauge>(m);
+        os << "{\"value\":";
+        jsonNumber(os, g.value());
+        os << ",\"avg\":";
+        jsonNumber(os, g.timeAverage());
+        os << ",\"peak\":";
+        jsonNumber(os, g.peak());
+        os << "}";
+    });
+    os << "},\"histograms\":{";
+    section(2, [&](const std::string &, const OracleMetric &m) {
+        const auto &h = std::get<sim::LogHistogram>(m);
+        os << "{\"count\":" << h.count();
+        if (h.count() > 0) {
+            os << ",\"mean\":";
+            jsonNumber(os, h.mean());
+            os << ",\"min\":";
+            jsonNumber(os, h.min());
+            os << ",\"max\":";
+            jsonNumber(os, h.max());
+            for (auto [label, p] :
+                 {std::pair<const char *, double>{"p50", 50.0},
+                  {"p90", 90.0},
+                  {"p99", 99.0},
+                  {"p999", 99.9}}) {
+                os << ",\"" << label << "\":";
+                jsonNumber(os, h.percentile(p));
+            }
+        }
+        os << "}";
+    });
+    os << "},\"probes\":{";
+    section(3, [&](const std::string &path, const OracleMetric &) {
+        const OracleProbe &p = *probes.at(path);
+        os << "{\"value\":";
+        jsonNumber(os, p.value);
+        os << ",\"avg\":";
+        jsonNumber(os, p.tw.average());
+        os << "}";
+    });
+    os << "}}";
+    return os.str();
+}
+
+/** Paths sharing prefixes: `a.b`, `a.b.c`, `a.b0`, `a-b`, ... */
+std::string
+randomPath(sim::Rng &rng)
+{
+    static const char *const kSegments[] = {"a", "b", "b0", "c", "a-b",
+                                            "node12", "rtt_us"};
+    std::string path;
+    const int depth = 1 + static_cast<int>(rng.next() % 3);
+    for (int i = 0; i < depth; ++i) {
+        if (i)
+            path += '.';
+        path += kSegments[rng.next() % std::size(kSegments)];
+    }
+    return path;
+}
+
+/** Every lookup of @p path agrees with @p o. */
+void
+expectLookupsMatch(const MetricsRegistry &reg, const RegistryOracle &o,
+                   const std::string &path)
+{
+    const auto it = o.metrics.find(path);
+    const std::size_t kind = it == o.metrics.end() ? 4 : it->second.index();
+    const sim::Counter *c = reg.findCounter(path);
+    const obs::Gauge *g = reg.findGauge(path);
+    const sim::LogHistogram *h = reg.findHistogram(path);
+    EXPECT_EQ(c != nullptr, kind == 0) << path;
+    EXPECT_EQ(g != nullptr, kind == 1) << path;
+    EXPECT_EQ(h != nullptr, kind == 2) << path;
+    EXPECT_EQ(reg.hasProbe(path), kind == 3) << path;
+    if (c) {
+        EXPECT_EQ(c->get(), std::get<sim::Counter>(it->second).get()) << path;
+    }
+    if (g) {
+        EXPECT_EQ(g->value(), std::get<obs::Gauge>(it->second).value())
+            << path;
+    }
+    if (h) {
+        EXPECT_EQ(h->count(), std::get<sim::LogHistogram>(it->second).count())
+            << path;
+    }
+    if (kind == 3) {
+        EXPECT_EQ(reg.probeValue(path), o.probes.at(path).value) << path;
+    }
+}
+
+TEST(MetricsRegistry, RandomizedOperationsMatchMapOracle)
+{
+    for (std::uint64_t seed : {1ull, 7ull, 42ull, 1337ull}) {
+        sim::Rng rng(seed);
+        // Two registries with disjoint paths (split by path length), so
+        // the merged snapshot is exercised too.
+        MetricsRegistry regs[2];
+        RegistryOracle oracles[2];
+        sim::TimePs now = 0;
+        for (int op = 0; op < 3000; ++op) {
+            const std::string path = randomPath(rng);
+            MetricsRegistry &reg = regs[path.size() % 2];
+            RegistryOracle &o = oracles[path.size() % 2];
+            const auto it = o.metrics.find(path);
+            const std::size_t kind = rng.next() % 6;
+            // A kind clash panics (see the death tests): only lookups may
+            // touch a path registered as another kind.
+            if (kind < 4 && it != o.metrics.end() &&
+                it->second.index() != kind) {
+                expectLookupsMatch(reg, o, path);
+                continue;
+            }
+            const bool fresh = it == o.metrics.end();
+            switch (kind) {
+            case 0: {
+                const auto n = rng.next() % 5;
+                reg.counter(path).inc(n);
+                auto &c = std::get<sim::Counter>(
+                    o.metrics.try_emplace(path, sim::Counter{}).first->second);
+                c.inc(n);
+                o.version += fresh;
+                break;
+            }
+            case 1: {
+                const double v = static_cast<double>(rng.next() % 100);
+                now += static_cast<sim::TimePs>(rng.next() % 1000);
+                reg.gauge(path).set(now, v);
+                std::get<obs::Gauge>(
+                    o.metrics.try_emplace(path, obs::Gauge{}).first->second)
+                    .set(now, v);
+                o.version += fresh;
+                break;
+            }
+            case 2: {
+                const double x = rng.uniform(0.0, 1000.0);
+                reg.histogram(path).add(x);
+                std::get<sim::LogHistogram>(
+                    o.metrics
+                        .try_emplace(path,
+                                     sim::LogHistogram(
+                                         obs::kDefaultHistMinValue,
+                                         obs::kDefaultHistBinsPerOctave))
+                        .first->second)
+                    .add(x);
+                o.version += fresh;
+                break;
+            }
+            case 3: {
+                // New or re-registered: both bump version().
+                const double v = static_cast<double>(rng.next() % 100);
+                reg.registerProbe(path, [v] { return v; });
+                o.metrics.try_emplace(path, 0.0);
+                o.probes[path].value = v;
+                ++o.version;
+                break;
+            }
+            case 4: {
+                // Sample every probe of one registry.
+                now += static_cast<sim::TimePs>(rng.next() % 1000);
+                reg.sampleAt(now);
+                for (auto &[p, probe] : o.probes)
+                    probe.tw.update(now, probe.value);
+                break;
+            }
+            default:
+                break;
+            }
+            // Lookups of this path, of a likely-absent one and of a
+            // sibling, interleaved with the registrations.
+            expectLookupsMatch(reg, o, path);
+            expectLookupsMatch(reg, o, path + ".x");
+            expectLookupsMatch(reg, o, randomPath(rng));
+            if (op % 500 == 499 || op == 2999) {
+                for (int r = 0; r < 2; ++r) {
+                    std::vector<std::string> want;
+                    for (const auto &[p, m] : oracles[r].metrics)
+                        want.push_back(p);
+                    ASSERT_EQ(regs[r].paths(), want) << "seed " << seed;
+                    ASSERT_EQ(regs[r].version(), oracles[r].version);
+                    ASSERT_EQ(regs[r].snapshotJson(),
+                              oracleSnapshot({&oracles[r]}))
+                        << "seed " << seed << ", op " << op;
+                }
+                ASSERT_EQ(MetricsRegistry::mergedSnapshotJson(
+                              {&regs[0], &regs[1]}),
+                          oracleSnapshot({&oracles[0], &oracles[1]}))
+                    << "seed " << seed << ", op " << op;
+            }
+        }
+    }
 }
 
 TEST(MetricsRegistry, DottedPathHierarchy)

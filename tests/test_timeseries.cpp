@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -281,6 +282,58 @@ TEST(TimeSeriesHub, MultiResolutionLevelsDownsampleAndStayBounded)
 
     // Retention is bounded by the configured capacities.
     EXPECT_LE(hub.pointsRetained(), 4u + 8u);
+}
+
+TEST(TimeSeriesHub, HistoryReturnsEveryFieldOfEachRetainedPoint)
+{
+    // Rings store scalar points compactly and recompute the rate; the
+    // points they hand back must equal the ones latest() showed, field
+    // for field, for every kind and across a ring wrap.
+    obs::MetricsRegistry reg;
+    sim::Counter &c = reg.counter("k.ops");
+    obs::Gauge &g = reg.gauge("k.depth");
+    sim::LogHistogram &h = reg.histogram("k.lat");
+    double live = 0.0;
+    reg.registerProbe("k.live", [&live] { return live; });
+
+    obs::TimeSeriesHub hub(obs::TimeSeriesConfig{}
+                               .withWindow(sim::kMillisecond)
+                               .withLevels({{1, 5}, {3, 4}}));
+    hub.watchRegistry(&reg);
+    hub.defineAggregate("all.lat", "k.lat");
+    hub.defineAggregate("all.ops", "k.op*");
+    const std::vector<std::string> names = {"k.ops", "k.depth", "k.lat",
+                                            "k.live", "all.lat", "all.ops"};
+    std::map<std::string, std::vector<obs::TsPoint>> seen;
+    for (int w = 1; w <= 12; ++w) {
+        c.inc(static_cast<std::uint64_t>(w % 4));
+        if (w == 7)
+            c.reset();  // the counter-reset rule rewrites the delta
+        g.set(w * sim::kMillisecond, 3.0 * w);
+        for (int i = 0; i < w; ++i)
+            h.add(1.0 + 7.0 * i);
+        live = 0.5 * w * w;
+        hub.rollAt(w * sim::kMillisecond);
+        for (const std::string &name : names)
+            seen[name].push_back(*hub.latest(name));
+    }
+    const auto same = [](const obs::TsPoint &a, const obs::TsPoint &b) {
+        return a.t == b.t && a.value == b.value && a.delta == b.delta &&
+               a.rate == b.rate && a.count == b.count && a.mean == b.mean &&
+               a.p50 == b.p50 && a.p90 == b.p90 && a.p99 == b.p99 &&
+               a.p999 == b.p999;
+    };
+    for (const std::string &name : names) {
+        const std::vector<obs::TsPoint> l0 = hub.history(name, 0);
+        ASSERT_EQ(l0.size(), 5u) << name;
+        for (std::size_t i = 0; i < l0.size(); ++i)
+            EXPECT_TRUE(same(l0[i], seen[name][7 + i])) << name << " " << i;
+    }
+    EXPECT_GT(seen["k.lat"].back().p99, 0.0);
+    EXPECT_EQ(seen["k.depth"].back().rate, 0.0);
+    // Level 1 closes every 3rd window: its rate spans 3 ms.
+    for (const obs::TsPoint &p : hub.history("k.live", 1))
+        EXPECT_EQ(p.rate, p.delta / 3e-3);
 }
 
 TEST(TimeSeriesHub, AggregatesMergeHistogramsAndSumScalars)
