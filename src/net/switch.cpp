@@ -70,25 +70,31 @@ void
 Switch::attachObservability(obs::Observability *o)
 {
     obsHub = o;
-    if (!o)
-        return;
+}
+
+void
+Switch::registerObservability()
+{
+    obsRegistered = obsHub;
     obsPrefix = "switch." + config.name;
-    obsTrack = o->trace.track(obsPrefix);
-    auto &reg = o->registry;
-    reg.registerProbe(obsPrefix + ".forwarded",
-                      [this] { return double(forwarded); });
-    reg.registerProbe(obsPrefix + ".dropped",
-                      [this] { return double(dropped); });
-    reg.registerProbe(obsPrefix + ".ecn_marked",
-                      [this] { return double(ecnMarked); });
-    reg.registerProbe(obsPrefix + ".pfc_frames",
-                      [this] { return double(pfcSent); });
-    reg.registerProbe(obsPrefix + ".route_misses",
-                      [this] { return double(noRoute); });
-    reg.registerProbe(obsPrefix + ".brownout_drops",
-                      [this] { return double(brownoutDropped); });
+    obsTrack = obsHub->trace.track(obsPrefix);
+    // Late registration is exact: the first packet has not yet moved a
+    // counter or queued a byte, so each probe would have read 0 so far.
+    auto &reg = obsHub->registry;
+    reg.registerLateProbe(obsPrefix + ".forwarded",
+                          [this] { return double(forwarded); });
+    reg.registerLateProbe(obsPrefix + ".dropped",
+                          [this] { return double(dropped); });
+    reg.registerLateProbe(obsPrefix + ".ecn_marked",
+                          [this] { return double(ecnMarked); });
+    reg.registerLateProbe(obsPrefix + ".pfc_frames",
+                          [this] { return double(pfcSent); });
+    reg.registerLateProbe(obsPrefix + ".route_misses",
+                          [this] { return double(noRoute); });
+    reg.registerLateProbe(obsPrefix + ".brownout_drops",
+                          [this] { return double(brownoutDropped); });
     for (std::uint8_t prio = 0; prio < kNumTrafficClasses; ++prio) {
-        reg.registerProbe(
+        reg.registerLateProbe(
             obsPrefix + ".q" + std::to_string(prio) + ".depth",
             [this, prio] {
                 // Aggregate egress occupancy of this class (bytes).
@@ -133,6 +139,8 @@ Switch::lookupRoute(const PacketPtr &pkt) const
 void
 Switch::handlePacket(int in_port, const PacketPtr &pkt)
 {
+    if (obsHub != obsRegistered && obsHub != nullptr)
+        registerObservability();
     // Brown-out: the frame dies at the ingress MAC, before any
     // accounting — indistinguishable from wire corruption. The RNG is
     // only consulted while a brown-out is active so that fault-free runs

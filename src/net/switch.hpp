@@ -83,11 +83,17 @@ class Switch
     const std::string &name() const { return config.name; }
 
     /**
-     * Export statistics under `switch.<name>.*`: probes for the packet
-     * counters plus per-class aggregate egress depth
+     * Export statistics to @p o under `switch.<name>.*`: probes for the
+     * packet counters plus per-class aggregate egress depth
      * `switch.<name>.q<prio>.depth` (bytes queued across all ports), and
-     * trace instants for PFC X-OFF/X-ON and ECN marks. Call after all
-     * ports have been added. Pass nullptr to detach.
+     * trace instants for PFC X-OFF/X-ON and ECN marks. This only records
+     * the hub: the switch takes its trace track and registers its probes
+     * with MetricsRegistry::registerLateProbe at the next packet it
+     * handles, so a switch that never carries traffic registers nothing
+     * and its absent paths read 0. Attached before traffic (as Topology
+     * does), the late probes match eager ones exactly: until the first
+     * packet every counter is 0 and every egress queue is empty, since
+     * only the switch sends on its ports. Pass nullptr to detach.
      */
     void attachObservability(obs::Observability *o);
 
@@ -162,7 +168,9 @@ class Switch
     SwitchConfig config;
     sim::Rng rng;
     obs::Observability *obsHub = nullptr;
-    std::string obsPrefix;  ///< "switch.<name>"
+    /** The hub the probes were registered with, once a packet arrived. */
+    obs::Observability *obsRegistered = nullptr;
+    std::string obsPrefix;  ///< "switch.<name>", set at registration
     int obsTrack = 0;
     std::vector<std::unique_ptr<Port>> ports;
     std::unordered_map<Ipv4Addr, std::vector<int>> hostRoutes;
@@ -179,6 +187,7 @@ class Switch
     std::uint64_t noRoute = 0;
     std::uint64_t brownoutDropped = 0;
 
+    void registerObservability();
     void handlePacket(int in_port, const PacketPtr &pkt);
     void forward(int in_port, int out_port, const PacketPtr &pkt);
     int lookupRoute(const PacketPtr &pkt) const;

@@ -228,7 +228,8 @@ class Topology
 
     /**
      * Attach every switch in the fabric to @p o (each exports under
-     * `switch.<its config name>.*`). Pass nullptr to detach.
+     * `switch.<its config name>.*` from its first packet on; see
+     * Switch::attachObservability). Pass nullptr to detach.
      */
     void attachObservability(obs::Observability *o);
 

@@ -130,19 +130,27 @@ inline constexpr MetricPattern kMetricPatterns[] = {
      "Quiesce/drain cycles started on this engine."},
 
     // --- switch.<name>.* : fabric switches ---
-    {"switch.*.forwarded", "gauge", "Packets forwarded to an output port."},
+    {"switch.*.forwarded", "gauge",
+     "Packets forwarded to an output port; registered at the "
+     "switch's first packet, absent (reads 0) before."},
     {"switch.*.dropped", "gauge",
-     "Packets dropped (full queues, admin down)."},
+     "Packets dropped (full queues, admin down); registered at the "
+     "switch's first packet, absent (reads 0) before."},
     {"switch.*.ecn_marked", "gauge",
-     "Packets ECN-marked above the marking threshold."},
+     "Packets ECN-marked above the marking threshold; registered at the "
+     "switch's first packet, absent (reads 0) before."},
     {"switch.*.pfc_frames", "gauge",
-     "Priority-flow-control pause frames emitted."},
+     "Priority-flow-control pause frames emitted; registered at the "
+     "switch's first packet, absent (reads 0) before."},
     {"switch.*.route_misses", "gauge",
-     "Packets with no matching route entry."},
+     "Packets with no matching route entry; registered at the "
+     "switch's first packet, absent (reads 0) before."},
     {"switch.*.brownout_drops", "gauge",
-     "Packets dropped by an injected brownout fault."},
+     "Packets dropped by an injected brownout fault; registered at the "
+     "switch's first packet, absent (reads 0) before."},
     {"switch.*.q*.depth", "gauge",
-     "Aggregate egress occupancy of one traffic class (bytes)."},
+     "Aggregate egress occupancy of one traffic class (bytes); "
+     "registered at the switch's first packet, absent (reads 0) before."},
 
     // --- router.node<i>.* : Elastic Router crossbars ---
     {"router.*.flits_routed", "gauge", "Flits moved through the crossbar."},

@@ -89,16 +89,16 @@ MetricsRegistry::histogram(const std::string &path, double min_value,
     return *obtain<sim::LogHistogram>(path, min_value, bins_per_octave).first;
 }
 
-MetricsRegistry::Probe &
+std::pair<MetricsRegistry::Probe *, bool>
 MetricsRegistry::setProbe(const std::string &path, std::function<double()> fn)
 {
     if (!fn)
         sim::panicf("MetricsRegistry: null probe for '", path, "'");
-    auto [probe, fresh] = obtain<Probe>(path);
+    const auto [probe, fresh] = obtain<Probe>(path);
     if (!fresh)
         ++mutations;  // a replaced callback counts as a change too
     probe->fn = std::move(fn);
-    return *probe;
+    return {probe, fresh};
 }
 
 void
@@ -112,15 +112,15 @@ void
 MetricsRegistry::registerLateProbe(const std::string &path,
                                    std::function<double()> fn)
 {
-    Probe &probe = setProbe(path, std::move(fn));
-    if (samplerTicks == 0)
+    const auto [probe, fresh] = setProbe(path, std::move(fn));
+    if (!fresh || samplerTicks == 0)
         return;
     // Replay the zeros the sampler would have read: the time-average
     // then spans the same window, and the trace counter treats 0 as
     // already emitted.
-    probe.tw.update(firstSampleAt, 0.0);
-    probe.everEmitted = samplerTrace != nullptr && samplerTrace->enabled();
-    probe.lastEmitted = 0.0;
+    probe->tw.update(firstSampleAt, 0.0);
+    probe->everEmitted = samplerTrace != nullptr && samplerTrace->enabled();
+    probe->lastEmitted = 0.0;
 }
 
 const sim::Counter *
@@ -145,6 +145,13 @@ bool
 MetricsRegistry::hasProbe(const std::string &path) const
 {
     return findAs<Probe>(path) != nullptr;
+}
+
+const std::function<double()> *
+MetricsRegistry::findProbe(const std::string &path) const
+{
+    const Probe *probe = findAs<Probe>(path);
+    return probe == nullptr ? nullptr : &probe->fn;
 }
 
 double
@@ -173,6 +180,21 @@ MetricsRegistry::paths() const
     for (const auto &[path, metric] : index)
         all.emplace_back(path);
     return all;
+}
+
+void
+MetricsRegistry::forEachMetric(
+    const std::function<void(std::string_view, const MetricRef &)> &fn) const
+{
+    for (const auto &[path, metric] : index) {
+        MetricRef ref;
+        ref.counter = std::get_if<sim::Counter>(&metric);
+        ref.gauge = std::get_if<Gauge>(&metric);
+        ref.histogram = std::get_if<sim::LogHistogram>(&metric);
+        if (const Probe *probe = std::get_if<Probe>(&metric))
+            ref.probe = &probe->fn;
+        fn(path, ref);
+    }
 }
 
 std::vector<std::string>

@@ -116,10 +116,12 @@ class MetricsRegistry
 
     /**
      * Register a probe for state created on first use (a server's first
-     * impairment): the caller guarantees it would have read 0 at every
-     * sampling tick so far. Its time-average and trace counter continue
-     * as if it had been registered before sampling began; the trace only
-     * lacks the initial 0 sample.
+     * impairment, a switch's first packet): the caller guarantees it
+     * would have read 0 at every sampling tick so far. Its time-average
+     * and trace counter continue as if it had been registered before
+     * sampling began; the trace only lacks the initial 0 sample.
+     * Re-registering a path only replaces its callback, as
+     * registerProbe() does.
      */
     void registerLateProbe(const std::string &path,
                            std::function<double()> fn);
@@ -130,6 +132,15 @@ class MetricsRegistry
     const Gauge *findGauge(const std::string &path) const;
     const sim::LogHistogram *findHistogram(const std::string &path) const;
     bool hasProbe(const std::string &path) const;
+
+    /**
+     * The callback of the probe at @p path, or null. The pointer stays
+     * valid for the registry's lifetime and always reads the current
+     * callback: re-registering the path replaces it in place. A watcher
+     * (the time-series hub) keeps it instead of looking the path up on
+     * every read.
+     */
+    const std::function<double()> *findProbe(const std::string &path) const;
 
     /** Invoke the probe at @p path now. Panics if no such probe. */
     double probeValue(const std::string &path) const;
@@ -144,6 +155,23 @@ class MetricsRegistry
 
     /** Every registered path across all kinds, sorted. */
     std::vector<std::string> paths() const;
+
+    /** What one registered path holds: exactly one member is non-null. */
+    struct MetricRef {
+        const sim::Counter *counter = nullptr;
+        const Gauge *gauge = nullptr;
+        const sim::LogHistogram *histogram = nullptr;
+        const std::function<double()> *probe = nullptr;  ///< as findProbe()
+    };
+
+    /**
+     * Call @p fn(path, metric) for every registered path, sorted. The
+     * path views the registry's own storage, so nothing is copied; @p fn
+     * must not register metrics.
+     */
+    void forEachMetric(
+        const std::function<void(std::string_view, const MetricRef &)> &fn)
+        const;
 
     /**
      * Mutation counter, bumped whenever a new metric is registered.
@@ -262,7 +290,9 @@ class MetricsRegistry
      */
     template <typename T, typename... Args>
     std::pair<T *, bool> obtain(std::string_view path, Args &&...args);
-    Probe &setProbe(const std::string &path, std::function<double()> fn);
+    /** registerProbe(); `.second` is true for a new path. */
+    std::pair<Probe *, bool> setProbe(const std::string &path,
+                                      std::function<double()> fn);
     /** The @p T metrics of @p regs as one path-sorted list; panics on a
      * path held by more than one registry. */
     template <typename T>

@@ -284,7 +284,7 @@ TimeSeriesHub::addWindowObserver(WindowObserver fn)
 }
 
 bool
-TimeSeriesHub::includes(const std::string &path) const
+TimeSeriesHub::includes(std::string_view path) const
 {
     if (cfg.include.empty())
         return true;
@@ -317,32 +317,27 @@ TimeSeriesHub::discover()
         if (regVersions[ri] == reg->version())
             continue;
         regVersions[ri] = reg->version();
-        for (const std::string &path : reg->paths()) {
-            if (series.count(path) || !includes(path))
-                continue;
-            if (aggregates.count(path))
+        reg->forEachMetric([this](std::string_view path,
+                                  const MetricsRegistry::MetricRef &m) {
+            if (!includes(path) || series.contains(path))
+                return;
+            if (aggregates.contains(path))
                 sim::panicf("TimeSeriesHub: registry path ", path,
                             " collides with an aggregate series");
             Series s;
-            s.reg = reg;
-            if (const sim::Counter *c = reg->findCounter(path)) {
-                s.kind = SeriesKind::kCounter;
-                s.counter = c;
-            } else if (const Gauge *g = reg->findGauge(path)) {
-                s.kind = SeriesKind::kGauge;
-                s.gauge = g;
-            } else if (const sim::LogHistogram *h = reg->findHistogram(path)) {
-                s.kind = SeriesKind::kHistogram;
-                s.hist = h;
-            } else if (reg->hasProbe(path)) {
-                s.kind = SeriesKind::kProbe;
-            } else {
-                continue;  // unknown kind (future registry extension)
-            }
+            s.counter = m.counter;
+            s.gauge = m.gauge;
+            s.hist = m.histogram;
+            s.probe = m.probe;
+            s.kind = m.counter     ? SeriesKind::kCounter
+                     : m.gauge     ? SeriesKind::kGauge
+                     : m.histogram ? SeriesKind::kHistogram
+                                   : SeriesKind::kProbe;
             initLevels(s);
-            announceSeries(path, s.kind);
-            series.emplace(path, std::move(s));
-        }
+            const std::string name(path);
+            announceSeries(name, s.kind);
+            series.emplace(name, std::move(s));
+        });
     }
 }
 
@@ -353,7 +348,6 @@ TimeSeriesHub::refreshAggregate(const std::string &name, Aggregate &agg)
         return;
     agg.seenSeries = series.size();
     agg.members.clear();
-    agg.memberNames.clear();
     for (const auto &[path, s] : series) {
         if (!globMatch(agg.pattern, path))
             continue;
@@ -373,7 +367,6 @@ TimeSeriesHub::refreshAggregate(const std::string &name, Aggregate &agg)
                             " mixes histogram binnings at ", path);
         }
         agg.members.push_back(&s);
-        agg.memberNames.push_back(path);
     }
     if (!agg.members.empty() && !agg.announced) {
         announceSeries(name, agg.kind);
@@ -410,7 +403,7 @@ TimeSeriesHub::scalarPoint(sim::TimePs now, double cur, LevelState &lv) const
 }
 
 void
-TimeSeriesHub::rollSeries(const std::string &name, Series &s, sim::TimePs now)
+TimeSeriesHub::rollSeries(Series &s, sim::TimePs now)
 {
     for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
         const int stride = cfg.levels[i].stride;
@@ -433,7 +426,7 @@ TimeSeriesHub::rollSeries(const std::string &name, Series &s, sim::TimePs now)
             p = scalarPoint(now, s.gauge->value(), lv);
             break;
         case SeriesKind::kProbe:
-            p = scalarPoint(now, s.reg->probeValue(name), lv);
+            p = scalarPoint(now, (*s.probe)(), lv);
             p.rate = p.delta / span;
             break;
         case SeriesKind::kHistogram: {
@@ -468,10 +461,8 @@ TimeSeriesHub::rollSeries(const std::string &name, Series &s, sim::TimePs now)
 }
 
 void
-TimeSeriesHub::rollAggregate(const std::string &name, Aggregate &agg,
-                             sim::TimePs now)
+TimeSeriesHub::rollAggregate(Aggregate &agg, sim::TimePs now)
 {
-    (void)name;
     if (agg.members.empty())
         return;
     for (std::size_t i = 0; i < cfg.levels.size(); ++i) {
@@ -518,8 +509,7 @@ TimeSeriesHub::rollAggregate(const std::string &name, Aggregate &agg,
             p.p999 = sk.percentile(99.9);
         } else {
             double cur = 0.0;
-            for (std::size_t m = 0; m < agg.members.size(); ++m) {
-                const Series *s = agg.members[m];
+            for (const Series *s : agg.members) {
                 switch (agg.kind) {
                 case SeriesKind::kCounter:
                     cur += static_cast<double>(s->counter->get());
@@ -528,7 +518,7 @@ TimeSeriesHub::rollAggregate(const std::string &name, Aggregate &agg,
                     cur += s->gauge->value();
                     break;
                 case SeriesKind::kProbe:
-                    cur += s->reg->probeValue(agg.memberNames[m]);
+                    cur += (*s->probe)();
                     break;
                 case SeriesKind::kHistogram:
                     break;  // handled above
@@ -560,9 +550,9 @@ TimeSeriesHub::rollAt(sim::TimePs now)
     for (auto &[name, agg] : aggregates)
         refreshAggregate(name, agg);
     for (auto &[name, s] : series)
-        rollSeries(name, s, now);
+        rollSeries(s, now);
     for (auto &[name, agg] : aggregates)
-        rollAggregate(name, agg, now);
+        rollAggregate(agg, now);
     exportWindow(now);
     traceWindow(now);
     for (const auto &fn : observers)

@@ -39,6 +39,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -364,19 +365,19 @@ class TimeSeriesHub
         }
     };
 
-    /** One concrete series bound to a registry metric. */
+    /** One concrete series bound to a registry metric, kept from
+     * discovery on (registry metrics and probe callbacks never move). */
     struct Series : Track {
         const sim::Counter *counter = nullptr;
         const Gauge *gauge = nullptr;
         const sim::LogHistogram *hist = nullptr;
-        const MetricsRegistry *reg = nullptr;  ///< probe owner
+        const std::function<double()> *probe = nullptr;
     };
 
     /** One derived series merging pattern-matched members. */
     struct Aggregate : Track {
         std::string pattern;
         std::vector<const Series *> members;
-        std::vector<std::string> memberNames;
         std::size_t seenSeries = 0;  ///< concrete count at last refresh
         bool announced = false;
     };
@@ -385,8 +386,8 @@ class TimeSeriesHub
     std::vector<const MetricsRegistry *> regs;
     /** registry->version() at the last discover(), parallel to regs. */
     std::vector<std::uint64_t> regVersions;
-    std::map<std::string, Series> series;
-    std::map<std::string, Aggregate> aggregates;
+    std::map<std::string, Series, std::less<>> series;
+    std::map<std::string, Aggregate, std::less<>> aggregates;
     std::vector<WindowObserver> observers;
 
     std::ostream *out = nullptr;
@@ -399,14 +400,13 @@ class TimeSeriesHub
     sim::EventId samplerEvent = sim::kNoEvent;
 
     void scheduleTick();
-    bool includes(const std::string &path) const;
+    bool includes(std::string_view path) const;
     void discover();
     void refreshAggregate(const std::string &name, Aggregate &agg);
     void announceSeries(const std::string &name, SeriesKind kind);
     void initLevels(Track &track) const;
-    void rollSeries(const std::string &name, Series &s, sim::TimePs now);
-    void rollAggregate(const std::string &name, Aggregate &agg,
-                       sim::TimePs now);
+    void rollSeries(Series &s, sim::TimePs now);
+    void rollAggregate(Aggregate &agg, sim::TimePs now);
     static void keep(Track &track, std::size_t level, const TsPoint &p);
     TsPoint scalarPoint(sim::TimePs now, double cur, LevelState &lv) const;
     void exportWindow(sim::TimePs now);

@@ -11,7 +11,8 @@
  *  - an LTL engine's connection table allocates nothing per idle entry;
  *  - an idle net::Link allocates a fixed, small number of blocks;
  *  - a paper-scale lazy fabric with a FaultInjector attached registers
- *    per-server fault probes only for servers that were impaired;
+ *    per-server fault probes only for servers that were impaired, and
+ *    per-switch probes only for switches that handled a packet;
  *  - a registry path costs one tree node plus its share of a path
  *    arena, and looking a path up allocates nothing.
  */
@@ -136,10 +137,14 @@ TEST(IdleCost, PaperScaleFabricRegistersProbesOnlyForImpairedServers)
     core::ConfigurableCloud cloud(eq, cfg);
     ASSERT_EQ(cloud.numServers(), 249600);
     fault::FaultInjector inj(eq, cloud, fault::FaultConfig{});
-    // Two per-server paths for every host would alone exceed the budget.
-    constexpr std::size_t kPathBudget = 200000;
+    // What is left are fleet-wide totals (31 paths: fault.*, haas.*,
+    // sim.mem.*, sim.queue.*); the margin admits a few more of those,
+    // while a path per switch (10,924) or per server would exceed it.
+    constexpr std::size_t kPathBudget = 64;
     EXPECT_LT(hub.registry.paths().size(), kPathBudget);
     EXPECT_FALSE(hub.registry.hasProbe("fault.node0.down"));
+    // No switch has handled a packet, so none has registered a probe.
+    EXPECT_TRUE(hub.registry.children("switch").empty());
 }
 
 TEST(IdleCost, RegistryPathCostsOneNodeAndLookupsAllocateNothing)

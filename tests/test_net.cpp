@@ -1,10 +1,13 @@
 /**
  * @file
  * Network substrate tests: channel serialization/pausing, link PFC
- * interception, switch routing/ECN/PFC, topology connectivity.
+ * interception, switch routing/ECN/PFC and first-packet probe
+ * registration, topology connectivity.
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "net/channel.hpp"
@@ -12,7 +15,10 @@
 #include "net/packet.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
+#include "obs/sharded_obs.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded_queue.hpp"
 
 namespace {
 
@@ -375,6 +381,207 @@ TEST(TopologyDeliveryLatency, IncreasesWithTier)
     const TimePs l2 = send_and_time(0, 8);
     EXPECT_LT(l0, l1);
     EXPECT_LT(l1, l2);
+}
+
+/** Every switch of @p topo, pod by pod (TORs, then L1s), spine last. */
+std::vector<net::Switch *>
+allSwitches(net::Topology &topo)
+{
+    std::vector<net::Switch *> out;
+    for (int p = 0; p < topo.numPods(); ++p) {
+        for (int r = 0; r < topo.racksPerPod(); ++r)
+            out.push_back(&topo.tor(p, r));
+        for (int i = 0; i < topo.l1PerPod(); ++i)
+            out.push_back(&topo.l1(p, i));
+    }
+    for (int i = 0; i < topo.numL2(); ++i)
+        out.push_back(&topo.l2(i));
+    return out;
+}
+
+/** A switch counter probe's leaf and the public accessor it mirrors. */
+struct SwitchCounter {
+    const char *leaf;
+    std::uint64_t (net::Switch::*read)() const;
+};
+
+constexpr SwitchCounter kSwitchCounters[] = {
+    {"forwarded", &net::Switch::packetsForwarded},
+    {"dropped", &net::Switch::packetsDropped},
+    {"ecn_marked", &net::Switch::packetsEcnMarked},
+    {"pfc_frames", &net::Switch::pfcFramesSent},
+    {"route_misses", &net::Switch::routeMisses},
+    {"brownout_drops", &net::Switch::brownoutDrops},
+};
+
+/**
+ * Eager `shadow.<name>.<leaf>` probes over @p sw's accessors, registered
+ * when the switch is attached: the oracle its own late probes must match.
+ */
+void
+registerShadowProbes(obs::MetricsRegistry &reg, const net::Switch &sw)
+{
+    for (const SwitchCounter &c : kSwitchCounters)
+        reg.registerProbe(
+            "shadow." + sw.name() + "." + c.leaf,
+            [&sw, read = c.read] { return double((sw.*read)()); });
+}
+
+/**
+ * Check that exactly the switches of @p switches that handled a packet
+ * registered their 14 probes in @p reg, each counter probe reading its
+ * accessor with the time average of its shadow. Returns how many did.
+ */
+int
+checkSwitchProbes(const obs::MetricsRegistry &reg,
+                  const std::vector<net::Switch *> &switches)
+{
+    int registered = 0;
+    for (const net::Switch *sw : switches) {
+        const std::string prefix = "switch." + sw->name();
+        const bool handled =
+            sw->packetsForwarded() + sw->packetsDropped() > 0;
+        EXPECT_EQ(reg.children(prefix).size(), handled ? 14u : 0u)
+            << sw->name();
+        if (!handled)
+            continue;
+        ++registered;
+        for (const SwitchCounter &c : kSwitchCounters) {
+            const std::string path = prefix + "." + c.leaf;
+            EXPECT_EQ(reg.probeValue(path), double((sw->*c.read)())) << path;
+            EXPECT_EQ(reg.probeTimeAverage(path),
+                      reg.probeTimeAverage("shadow." + sw->name() + "." +
+                                           c.leaf))
+                << path;
+        }
+    }
+    return registered;
+}
+
+TEST(SwitchObservability, ProbesAppearAtFirstPacketAndMatchEagerShadows)
+{
+    EventQueue eq;  // before the hub: the registry cancels its sampler
+    obs::Observability hub;
+    net::TopologyConfig cfg;
+    cfg.hostsPerRack = 3;
+    cfg.racksPerPod = 2;
+    cfg.l1PerPod = 2;
+    cfg.pods = 3;
+    cfg.l2Count = 2;
+    net::Topology topo(eq, cfg);
+    std::vector<std::unique_ptr<CollectorSink>> sinks;
+    for (int i = 0; i < topo.numHosts(); ++i) {
+        sinks.push_back(std::make_unique<CollectorSink>(eq));
+        topo.attachHostDevice(i, sinks.back().get());
+    }
+    topo.attachObservability(&hub);
+    const std::vector<net::Switch *> switches = allSwitches(topo);
+    for (const net::Switch *sw : switches)
+        registerShadowProbes(hub.registry, *sw);
+    hub.registry.startSampling(eq, 1 * sim::kMicrosecond);
+    eq.runUntil(5 * sim::kMicrosecond);
+    EXPECT_TRUE(hub.registry.children("switch").empty());
+
+    // A TOR whose first packet dies in a brown-out registers...
+    net::Switch &brown = topo.tor(2, 1);
+    brown.setBrownout(1.0, false);
+    const int brownHost = topo.hostIndex(2, 1, 0);
+    topo.hostTx(brownHost).send(
+        makeUdp(topo.host(brownHost).addr, topo.host(0).addr, 200));
+    // ...and so does a spine whose first packet has no route (pod 9
+    // does not exist).
+    topo.hostTx(0).send(makeUdp(topo.host(0).addr,
+                                net::Topology::hostAddr(9, 0, 0), 200));
+    eq.runUntil(10 * sim::kMicrosecond);
+    EXPECT_EQ(brown.brownoutDrops(), 1u);
+    EXPECT_EQ(hub.registry.probeValue("switch." + brown.name() +
+                                      ".brownout_drops"),
+              1.0);
+    int spineMisses = 0;
+    for (int i = 0; i < topo.numL2(); ++i) {
+        const net::Switch &spine = topo.l2(i);
+        if (spine.routeMisses() == 0)
+            continue;
+        ++spineMisses;
+        EXPECT_EQ(spine.packetsForwarded(), 0u);
+        EXPECT_EQ(hub.registry.probeValue("switch." + spine.name() +
+                                          ".route_misses"),
+                  1.0);
+    }
+    EXPECT_EQ(spineMisses, 1);
+
+    // A lossless, ECN-capable incast on host 0 from pods 0 and 1 marks
+    // and pauses; pod 2 stays idle apart from the browned-out packet.
+    const int incastHosts = 2 * cfg.racksPerPod * cfg.hostsPerRack;
+    for (int round = 0; round < 40; ++round) {
+        for (int h = 1; h < incastHosts; ++h) {
+            auto pkt = makeUdp(topo.host(h).addr, topo.host(0).addr, 1400,
+                               net::kTcLossless);
+            pkt->ecnCapable = true;
+            topo.hostTx(h).send(pkt);
+        }
+    }
+    eq.runUntil(2 * sim::kMillisecond);
+    hub.registry.stopSampling();
+
+    const net::Switch &dstTor = topo.tor(0, 0);
+    EXPECT_GT(dstTor.packetsEcnMarked(), 0u);
+    EXPECT_GT(dstTor.pfcFramesSent(), 0u);
+    EXPECT_GT(hub.registry.probeTimeAverage("switch." + dstTor.name() +
+                                            ".forwarded"),
+              0.0);
+    const int registered = checkSwitchProbes(hub.registry, switches);
+    EXPECT_GT(registered, 2);
+    // Pod 2's second TOR and both of its L1s never saw a packet.
+    EXPECT_EQ(registered, static_cast<int>(switches.size()) - 3);
+}
+
+TEST(SwitchObservability, PodSwitchRegistersInItsShardFromTheWorkerThread)
+{
+    net::TopologyConfig cfg;
+    cfg.hostsPerRack = 2;
+    cfg.racksPerPod = 2;
+    cfg.l1PerPod = 1;
+    cfg.pods = 2;
+    cfg.l2Count = 1;
+    sim::ShardedEventQueue::Config qc;
+    qc.partitions = cfg.pods + 1;  // one per pod plus the spine
+    qc.threads = 2;
+    sim::ShardedEventQueue sq(qc);
+    obs::ShardedObservability so(qc.partitions);
+    net::Topology topo(sq, cfg);
+    std::vector<std::unique_ptr<CollectorSink>> sinks;
+    for (int i = 0; i < topo.numHosts(); ++i) {
+        const int pod = i / (cfg.racksPerPod * cfg.hostsPerRack);
+        sinks.push_back(std::make_unique<CollectorSink>(sq.partition(pod)));
+        topo.attachHostDevice(i, sinks.back().get());
+    }
+    topo.attachObservability(&so);
+    // With two workers the coordinator runs partitions 0 and 2 and the
+    // second worker runs partition 1: pod 1's switches register there.
+    std::vector<net::Switch *> pod1;
+    for (int r = 0; r < cfg.racksPerPod; ++r)
+        pod1.push_back(&topo.tor(1, r));
+    pod1.push_back(&topo.l1(1, 0));
+    for (const net::Switch *sw : pod1)
+        registerShadowProbes(so.shard(1).registry, *sw);
+    so.startSampling(sq, 1 * sim::kMicrosecond);
+    sq.runUntil(5 * sim::kMicrosecond);
+    for (int s = 0; s < so.shardCount(); ++s)
+        EXPECT_TRUE(so.shard(s).registry.children("switch").empty()) << s;
+
+    // Cross-rack traffic inside pod 1 only.
+    const int src = topo.hostIndex(1, 0, 0);
+    const int dst = topo.hostIndex(1, 1, 1);
+    for (int i = 0; i < 4; ++i)
+        topo.hostTx(src).send(
+            makeUdp(topo.host(src).addr, topo.host(dst).addr, 800));
+    sq.runUntil(50 * sim::kMicrosecond);
+
+    EXPECT_EQ(sinks[dst]->packets.size(), 4u);
+    EXPECT_EQ(checkSwitchProbes(so.shard(1).registry, pod1), 3);
+    EXPECT_TRUE(so.shard(0).registry.children("switch").empty());
+    EXPECT_TRUE(so.shard(2).registry.children("switch").empty());
 }
 
 TEST(Nic, StampsSourceAddresses)

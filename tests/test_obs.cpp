@@ -12,10 +12,13 @@
 #include <cctype>
 #include <cmath>
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -293,6 +296,27 @@ TEST(MetricsRegistry, ProbesAreInvokableAndReplaceable)
     EXPECT_DOUBLE_EQ(reg.probeValue("fpga.node0.pcie_util"), 1.0);
 }
 
+TEST(MetricsRegistry, ProbeHandleOutlivesGrowthAndReadsTheNewCallback)
+{
+    MetricsRegistry reg;
+    reg.registerProbe("ltl.node0.live", [] { return 1.0; });
+    const std::function<double()> *handle = reg.findProbe("ltl.node0.live");
+    ASSERT_NE(handle, nullptr);
+    EXPECT_EQ(reg.findProbe("ltl.node0"), nullptr);
+    reg.counter("ltl.node0.sent");
+    EXPECT_EQ(reg.findProbe("ltl.node0.sent"), nullptr);
+    for (int i = 0; i < 1000; ++i)
+        reg.registerProbe("ltl.node" + std::to_string(i) + ".x",
+                          [] { return 0.0; });
+    // Re-registration replaces the callback in place: the handle taken
+    // before still resolves, to the new callback.
+    reg.registerProbe("ltl.node0.live", [] { return 2.0; });
+    EXPECT_EQ(reg.findProbe("ltl.node0.live"), handle);
+    EXPECT_EQ((*handle)(), 2.0);
+    reg.registerLateProbe("ltl.node0.live", [] { return 3.0; });
+    EXPECT_EQ((*handle)(), 3.0);
+}
+
 TEST(MetricsRegistryDeathTest, CrossKindPathCollisionPanics)
 {
     MetricsRegistry reg;
@@ -471,6 +495,7 @@ expectLookupsMatch(const MetricsRegistry &reg, const RegistryOracle &o,
     EXPECT_EQ(g != nullptr, kind == 1) << path;
     EXPECT_EQ(h != nullptr, kind == 2) << path;
     EXPECT_EQ(reg.hasProbe(path), kind == 3) << path;
+    EXPECT_EQ(reg.findProbe(path) != nullptr, kind == 3) << path;
     if (c) {
         EXPECT_EQ(c->get(), std::get<sim::Counter>(it->second).get()) << path;
     }
@@ -484,7 +509,31 @@ expectLookupsMatch(const MetricsRegistry &reg, const RegistryOracle &o,
     }
     if (kind == 3) {
         EXPECT_EQ(reg.probeValue(path), o.probes.at(path).value) << path;
+        EXPECT_EQ((*reg.findProbe(path))(), o.probes.at(path).value)
+            << path;
     }
+}
+
+/** forEachMetric() visits every path of @p o in order, with its kind. */
+void
+expectVisitMatches(const MetricsRegistry &reg, const RegistryOracle &o)
+{
+    std::vector<std::pair<std::string, std::size_t>> visited;
+    reg.forEachMetric(
+        [&](std::string_view path, const MetricsRegistry::MetricRef &m) {
+            const int set = (m.counter != nullptr) + (m.gauge != nullptr) +
+                            (m.histogram != nullptr) + (m.probe != nullptr);
+            EXPECT_EQ(set, 1) << path;
+            const std::size_t kind = m.counter ? 0
+                                     : m.gauge ? 1
+                                     : m.histogram ? 2
+                                                   : 3;
+            visited.emplace_back(path, kind);
+        });
+    std::vector<std::pair<std::string, std::size_t>> want;
+    for (const auto &[path, m] : o.metrics)
+        want.emplace_back(path, m.index());
+    EXPECT_EQ(visited, want);
 }
 
 TEST(MetricsRegistry, RandomizedOperationsMatchMapOracle)
@@ -575,6 +624,7 @@ TEST(MetricsRegistry, RandomizedOperationsMatchMapOracle)
                     for (const auto &[p, m] : oracles[r].metrics)
                         want.push_back(p);
                     ASSERT_EQ(regs[r].paths(), want) << "seed " << seed;
+                    expectVisitMatches(regs[r], oracles[r]);
                     ASSERT_EQ(regs[r].version(), oracles[r].version);
                     ASSERT_EQ(regs[r].snapshotJson(),
                               oracleSnapshot({&oracles[r]}))
@@ -820,6 +870,33 @@ TEST(Sampler, LateProbeContinuesAsIfRegisteredBeforeSampling)
     EXPECT_EQ(late.registry.snapshotJson(), early.registry.snapshotJson());
     EXPECT_EQ(early.trace.eventCount(), 2u);  // 0 at 10us, 100 at 40us
     EXPECT_EQ(late.trace.eventCount(), 1u);   // 100 at 40us
+}
+
+TEST(Sampler, LateProbeReRegistrationKeepsItsAverage)
+{
+    // A late probe registered a second time (a component re-attached to
+    // the same hub) only swaps its callback: the zeros before its first
+    // registration are not replayed again.
+    EventQueue eq;
+    MetricsRegistry once;
+    MetricsRegistry twice;
+    double signal = 0.0;
+    once.startSampling(eq, 10 * sim::kMicrosecond);
+    twice.startSampling(eq, 10 * sim::kMicrosecond);
+    eq.scheduleAfter(35 * sim::kMicrosecond, [&] {
+        signal = 100.0;
+        once.registerLateProbe("x.signal", [&] { return signal; });
+        twice.registerLateProbe("x.signal", [&] { return signal; });
+    });
+    eq.scheduleAfter(65 * sim::kMicrosecond, [&] {
+        twice.registerLateProbe("x.signal", [&] { return signal; });
+    });
+    eq.runUntil(95 * sim::kMicrosecond);
+    once.stopSampling();
+    twice.stopSampling();
+
+    EXPECT_DOUBLE_EQ(once.probeTimeAverage("x.signal"), 62.5);
+    EXPECT_EQ(twice.snapshotJson(), once.snapshotJson());
 }
 
 TEST(Sampler, RestartReplacesSchedule)

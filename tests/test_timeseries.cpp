@@ -228,6 +228,28 @@ TEST(TimeSeriesHub, SurvivesComponentResetMidRun)
     EXPECT_DOUBLE_EQ(c->delta, 4.0);  // not 4 - 10 = -6
 }
 
+TEST(TimeSeriesHub, ProbeSeriesReadTheCurrentCallback)
+{
+    // Series keep the probe's callback from discovery on; re-registering
+    // the path must still reach them, in concrete and aggregate series.
+    obs::MetricsRegistry reg;
+    reg.registerProbe("svc.a.live", [] { return 1.0; });
+    reg.registerProbe("svc.b.live", [] { return 2.0; });
+    obs::TimeSeriesHub hub(
+        obs::TimeSeriesConfig{}.withWindow(sim::kMillisecond));
+    hub.defineAggregate("fleet.live", "svc.*.live");
+    hub.watchRegistry(&reg);
+    hub.rollAt(sim::kMillisecond);
+    EXPECT_DOUBLE_EQ(hub.latest("svc.a.live")->value, 1.0);
+    EXPECT_DOUBLE_EQ(hub.latest("fleet.live")->value, 3.0);
+
+    reg.registerProbe("svc.a.live", [] { return 10.0; });
+    hub.rollAt(2 * sim::kMillisecond);
+    EXPECT_DOUBLE_EQ(hub.latest("svc.a.live")->value, 10.0);
+    EXPECT_DOUBLE_EQ(hub.latest("fleet.live")->value, 12.0);
+    EXPECT_EQ(hub.seriesCount(), 3u);
+}
+
 TEST(TimeSeriesHub, IncludeGlobsFilterWatchedPaths)
 {
     obs::MetricsRegistry reg;
